@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         args.method = args.method.replace("-", "_")
     try:
         return _DISPATCH[args.command](args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"riskengine: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FitDidNotConverge, EstimationError) as exc:

@@ -124,7 +124,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ReturnSeries:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -165,7 +165,7 @@ def load_multi_csv(path, date_column: str = "date") -> MultiSeries:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

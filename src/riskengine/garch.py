@@ -151,8 +151,10 @@ def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
 
     The simplex runs on unconstrained coordinates (log omega, a squashed
     persistence and an alpha share), so every candidate satisfies the
-    positivity and stationarity constraints. A failed convergence is not an
-    error: the best point found is returned with ``converged=False``.
+    positivity and stationarity constraints. The closed-form optimum at
+    alpha = beta = 0 is also scored and wins if its likelihood is higher. A
+    failed convergence is not an error: the best point found is returned
+    with ``converged=False``.
     """
     r = _as_returns(returns)
     if len(r) < 250:
@@ -182,11 +184,20 @@ def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
         },
     )
     params = _unpack(result.x)
+    value = -float(result.fun)
+    # the simplex coordinates never reach alpha = beta = 0, whose optimum has
+    # a closed form because sigma2[0] is fixed at the sample variance
+    corner_omega = float(np.mean(r[1:] ** 2))
+    if corner_omega > 0.0:
+        corner = GarchParams(omega=corner_omega, alpha=0.0, beta=0.0)
+        corner_value = loglik(r, corner)
+        if corner_value > value:
+            params, value = corner, corner_value
     sigma, z = filter(r, params)
     return GarchFit(
         params=params,
         sigma=sigma,
         z=z,
-        loglik=-float(result.fun),
+        loglik=value,
         converged=bool(result.success),
     )

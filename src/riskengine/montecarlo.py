@@ -6,10 +6,12 @@ variance-update for ``horizon`` steps. Innovations are either standard
 normal or bootstrap draws (with replacement) from the fitted standardized
 residuals.
 
-Determinism contract: all innovations are drawn up front, in one canonical
-order, from a counter-based generator keyed by the seed. Worker threads only
-ever consume disjoint, pre-drawn path blocks, so the output is bit-identical
-for a given (fit, config) no matter how many threads run.
+Determinism contract: innovations come from a counter-based generator keyed
+by the seed, in one canonical order (path by path, each path's steps in
+turn). Paths are simulated in row blocks on one thread; each block draws its
+innovations in that order and runs its recursion before the next block
+draws, so the output is bit-identical for a given (fit, config) whatever the
+block size. ``RISK_THREADS`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,7 +29,10 @@ from .garch import GarchFit, GarchParams, next_variance
 
 INNOVATION_NORMAL = "normal"
 INNOVATION_FHS = "fhs"
-_BLOCK = 65536  # paths per worker block; fixed so chunking never moves draws
+# paths per streamed block; any size gives the same output. A 16,384-path
+# block's innovations (1.3 MB at horizon 10) stay in a 2 MiB L2 through the
+# recursion; at 1e6 x 10, 8,192 to 65,536 time alike within noise.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -81,27 +84,12 @@ class TermStructure:
         return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RISK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RISK_THREADS must be an integer, got {raw!r}") from None
-
-
-def _simulate_block(out, innov, params: GarchParams, v_start: float,
-                    lo: int, hi: int) -> None:
-    v = np.full(hi - lo, v_start)
-    cum = np.zeros(hi - lo)
-    for h in range(out.shape[1]):
-        r = np.sqrt(v) * innov[lo:hi, h]
-        cum = cum + r
-        out[lo:hi, h] = cum
-        v = params.omega + params.alpha * r * r + params.beta * v
-
-
 def simulate_cumulative(fit: GarchFit, cfg: McConfig) -> np.ndarray:
-    """Matrix [n_paths, horizon] of cumulative returns through each step."""
+    """Matrix [n_paths, horizon] of cumulative returns through each step.
+
+    The matrix is the transpose of a C-contiguous [horizon, n_paths] buffer,
+    so each horizon column ``cum[:, h]`` is contiguous in memory.
+    """
     if len(fit.z) == 0 or len(fit.sigma) == 0:
         raise DataError("empty residual pool for bootstrap innovations")
     params = fit.params
@@ -109,30 +97,23 @@ def simulate_cumulative(fit: GarchFit, cfg: McConfig) -> np.ndarray:
     v_start = next_variance(params, last_r, float(fit.sigma[-1] ** 2))
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    shape = (cfg.n_paths, cfg.horizon)
-    if cfg.innovation == INNOVATION_NORMAL:
-        innov = rng.standard_normal(shape)
-    else:
-        pool = np.asarray(fit.z, dtype=float)
-        innov = pool[rng.integers(0, pool.size, size=shape)]
-
-    out = np.empty(shape)
-    bounds = [(lo, min(lo + _BLOCK, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, _BLOCK)]
-    workers = min(_thread_count(), len(bounds))
-    if workers == 1:
-        for lo, hi in bounds:
-            _simulate_block(out, innov, params, v_start, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            futures = [
-                pool_exec.submit(_simulate_block, out, innov, params,
-                                 v_start, lo, hi)
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
-    return out
+    pool = np.asarray(fit.z, dtype=float)
+    out = np.empty((cfg.horizon, cfg.n_paths))
+    for lo in range(0, cfg.n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, cfg.n_paths)
+        shape = (hi - lo, cfg.horizon)
+        if cfg.innovation == INNOVATION_NORMAL:
+            innov = rng.standard_normal(shape)
+        else:
+            innov = pool[rng.integers(0, pool.size, size=shape)]
+        v = np.full(hi - lo, v_start)
+        cum = np.zeros(hi - lo)
+        for h in range(cfg.horizon):
+            r = np.sqrt(v) * innov[:, h]
+            cum = cum + r
+            out[h, lo:hi] = cum
+            v = params.omega + params.alpha * r * r + params.beta * v
+    return out.T
 
 
 def term_structure(cum: np.ndarray, p: float) -> TermStructure:

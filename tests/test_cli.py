@@ -249,6 +249,15 @@ class TestExitCodes:
         code = main(["var", str(tmp_path / "nope.csv"), "--out", str(out)])
         assert code == 2
 
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys):
+        path, _ = _returns_csv(tmp_path)
+        out = tmp_path / "missing" / "v.csv"
+        code = main(["var", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("riskengine: data error: ")
+        assert err.count("\n") == 1
+
     def test_rank_deficiency_is_estimation_error(self, tmp_path):
         path = tmp_path / "flat.csv"
         rows = ["date,a,b"]

@@ -55,6 +55,15 @@ class TestLoadCsv:
         assert a.dates == b.dates
         assert a.returns.tolist() == b.returns.tolist()
 
+    def test_utf8_bom_loads_same_series(self, tmp_path):
+        text = "date,return\n2005-11-01,0.002992\n2005-11-02,0.010403\n"
+        plain = load_csv(_write(tmp_path, text, "plain.csv"))
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        bom = load_csv(bom_path)
+        assert bom.dates == plain.dates
+        assert bom.returns.tolist() == plain.returns.tolist()
+
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path, "date,value\n2020-01-01,1.0\n")
         with pytest.raises(SchemaError, match="missing column 'return'"):
@@ -180,6 +189,15 @@ class TestMultiCsv:
         assert multi.names == ("a", "b")
         # sorted by date on load
         assert multi.values.tolist() == [[0.3, 0.4], [0.1, 0.2]]
+
+    def test_utf8_bom_loads_same_panel(self, tmp_path):
+        text = "date,a,b\n2020-01-02,0.1,0.2\n2020-01-01,0.3,0.4\n"
+        plain = load_multi_csv(_write(tmp_path, text, "plain.csv"))
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        bom = load_multi_csv(bom_path)
+        assert bom.names == plain.names
+        assert bom.values.tolist() == plain.values.tolist()
 
     def test_missing_date_column(self, tmp_path):
         path = _write(tmp_path, "when,a,b\n2020-01-01,0.1,0.2\n")

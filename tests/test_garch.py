@@ -199,6 +199,22 @@ class TestFit:
         assert np.array_equal(fitted.z, z)
         assert fitted.loglik == pytest.approx(loglik(r, fitted.params), rel=1e-12)
 
+    def test_iid_fit_takes_alpha_beta_zero_corner(self):
+        # Nelder-Mead stops at alpha ~ 4e-7, beta ~ 0.27 on this series, a
+        # loglik 8e-6 below (sample variance, 0, 0); the closed-form corner
+        # omega = mean(r[1:]**2), alpha = beta = 0 beats both
+        r = simulate_garch_returns(GarchParams(omega=1e-4, alpha=0.0, beta=0.0),
+                                   10_000, seed=7171882947238035265)
+        fitted = fit(r)
+        corner = GarchParams(omega=float(np.mean(r[1:] ** 2)), alpha=0.0, beta=0.0)
+        assert fitted.params == corner
+        assert fitted.loglik == loglik(r, corner)
+        at_sample_var = GarchParams(omega=float(np.var(r, ddof=1)), alpha=0.0, beta=0.0)
+        assert fitted.loglik > loglik(r, at_sample_var)
+        sigma, z = filter(r, corner)
+        assert np.array_equal(fitted.sigma, sigma)
+        assert np.array_equal(fitted.z, z)
+
     def test_json_round_trip(self):
         truth = GarchParams(omega=1e-5, alpha=0.05, beta=0.90)
         r = simulate_garch_returns(truth, 1_000, seed=4)

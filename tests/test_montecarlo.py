@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
-from riskengine.garch import GarchFit, GarchParams, filter
+from riskengine.garch import GarchFit, GarchParams, filter, next_variance
 from riskengine.mathstat import norm_inv_cdf, normal_es
 from riskengine.montecarlo import (
+    _BLOCK,
     McConfig,
     run_mc,
     simulate_cumulative,
@@ -25,6 +27,28 @@ def _fit(params, n=500, seed=80, z_pool=None):
 
 
 IID = GarchParams(omega=1e-4, alpha=0.0, beta=0.0)
+
+
+def one_shot_cumulative(fit, cfg):
+    """Draw the whole innovation matrix, then run the row-major recursion."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    shape = (cfg.n_paths, cfg.horizon)
+    if cfg.innovation == "normal":
+        innov = rng.standard_normal(shape)
+    else:
+        pool = np.asarray(fit.z, float)
+        innov = pool[rng.integers(0, pool.size, size=shape)]
+    p = fit.params
+    last_r = float(fit.sigma[-1] * fit.z[-1])
+    v = np.full(cfg.n_paths, next_variance(p, last_r, float(fit.sigma[-1] ** 2)))
+    cum = np.zeros(cfg.n_paths)
+    out = np.empty(shape)
+    for h in range(cfg.horizon):
+        r = np.sqrt(v) * innov[:, h]
+        cum = cum + r
+        out[:, h] = cum
+        v = p.omega + p.alpha * r * r + p.beta * v
+    return out
 
 
 class TestConfig:
@@ -88,6 +112,34 @@ class TestSimulateCumulative:
         monkeypatch.setenv("RISK_THREADS", "8")
         b = simulate_cumulative(fit, cfg)
         assert np.array_equal(a, b)
+        # the setting is ignored, so a non-integer neither raises nor matters
+        monkeypatch.setenv("RISK_THREADS", "abc")
+        c = simulate_cumulative(fit, cfg)
+        assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("kind", ["normal", "fhs"])
+    def test_streamed_blocks_match_one_shot_oracle(self, kind):
+        # 2.5 blocks: two full blocks and a partial one
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=17, n_paths=5 * _BLOCK // 2, horizon=4,
+                       innovation=kind)
+        cum = simulate_cumulative(fit, cfg)
+        assert np.array_equal(cum, one_shot_cumulative(fit, cfg))
+        assert cum[:, 0].flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["normal", "fhs"])
+    def test_peak_allocation_near_output_size(self, kind):
+        # a 16 MB output; drawing every innovation up front would double it
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=18, n_paths=200_000, horizon=10, innovation=kind)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cum = simulate_cumulative(fit, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * cum.nbytes
 
     def test_first_step_uses_forecast_variance(self):
         # a single-value residual pool makes every first step exactly
