@@ -13,14 +13,13 @@ answer than "passed".
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
+from .data import write_rows
 from .errors import AlignmentError
 from .mathstat import chi2_sf
 from .var_engine import VarSeries
@@ -183,8 +182,5 @@ def evaluate(b: BreachSeries, alpha: float) -> CoverageReport:
 
 def write_breach_csv(b: BreachSeries, path) -> None:
     """Date/indicator CSV, e.g. to drive breach bar charts."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "indicator"])
-        for when, flag in zip(b.dates, b.indicator):
-            writer.writerow([when.isoformat(), int(flag)])
+    write_rows(path, ["date", "indicator"],
+               zip((d.isoformat() for d in b.dates), b.indicator.tolist()))

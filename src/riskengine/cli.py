@@ -1,19 +1,22 @@
 """Command-line front end: reproducible analyses with file outputs.
 
-Every run writes its primary outputs plus one manifest (JSON next to the
-main output) recording the resolved configuration, the SHA-256 of the input
-file, the seed and the tool version. Stochastic commands require an explicit
-seed; identical invocations produce byte-identical files.
+Each subcommand returns the paths it wrote; ``main`` then writes one
+manifest (JSON next to the main output) recording the parsed options other
+than the input, output and seed as the configuration, the SHA-256 of the
+input file, the seed and the tool version. Stochastic commands require an
+explicit seed; identical invocations produce byte-identical files.
 
-Exit codes: 0 ok, 2 data error, 3 fit/estimation failure, 4 bad
-configuration, 5 statistically infeasible request.
+Exit codes: 0 ok, 2 data error (missing, undecodable or malformed input, a
+sample that cannot be used, an unwritable output), 3 fit/estimation failure,
+4 bad configuration, 5 statistically infeasible request. A failure prints
+one line to stderr. Only the engine's own exception classes and ``OSError``
+are mapped to codes; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import numpy as np
 from . import __version__
 from .backtest import breaches, evaluate, write_breach_csv
 from .connectedness import connectedness_table, fit_var, write_edges_json, write_table_csv
-from .data import CsvSchema, load_csv, load_multi_csv, to_log_returns
+from .data import CsvSchema, load_csv, load_multi_csv, to_log_returns, write_json
 from .errors import ConfigError, DataError, EstimationError, TailTooSmallError
 from .garch import GarchFit, fit as fit_garch
 from .mathstat import qq_points, write_qq_csv
@@ -34,10 +37,6 @@ EXIT_DATA = 2
 EXIT_FIT = 3
 EXIT_CONFIG = 4
 EXIT_INFEASIBLE = 5
-
-
-class FitDidNotConverge(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,20 +53,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, command: str, config: dict, input_path,
-                    seed, outputs) -> None:
-    manifest = {
-        "command": command,
+def _write_manifest(args, outputs) -> None:
+    """Record the run next to ``args.out``; every other parsed flag is config."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "input", "out", "seed")}
+    write_json(str(args.out) + ".manifest.json", {
+        "command": args.command,
         "config": config,
-        "input_sha256": _sha256(input_path),
-        "seed": seed,
+        "input_sha256": _sha256(args.input),
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
-    }
-    path = Path(str(out_path) + ".manifest.json")
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _load_returns(args):
@@ -84,30 +81,27 @@ def _load_returns(args):
 def _fitted(series) -> GarchFit:
     fitted = fit_garch(series)
     if not fitted.converged:
-        raise FitDidNotConverge("GARCH estimation did not converge")
+        raise EstimationError("GARCH estimation did not converge")
     return fitted
 
 
-def _cmd_qq(args) -> int:
+def _cmd_qq(args) -> list:
     series = _load_returns(args)
-    if args.garch:
-        fitted = _fitted(series)
-        points = qq_points(fitted.z, mean=0.0, sd=1.0)
-        mode = "garch"
+    if args.mode == "garch":
+        points = qq_points(_fitted(series).z, mean=0.0, sd=1.0)
     else:
         r = series.returns
-        points = qq_points(r, mean=float(np.mean(r)),
-                           sd=float(np.std(r, ddof=1)))
-        mode = "mean-match"
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            sd = float(np.std(r, ddof=1)) if len(r) > 1 else 0.0
+        if not 0.0 < sd < np.inf:
+            raise DataError(f"sample standard deviation must be positive "
+                            f"and finite, got {sd}")
+        points = qq_points(r, mean=float(np.mean(r)), sd=sd)
     write_qq_csv(points, args.out)
-    _write_manifest(args.out, "qq",
-                    {"mode": mode, "date_column": args.date_column,
-                     "value_column": args.value_column, "prices": args.prices},
-                    args.input, None, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
-def _cmd_var(args) -> int:
+def _cmd_var(args) -> list:
     series = _load_returns(args)
     methods = list(METHODS) if args.method == "all" else [args.method]
     fitted = _fitted(series) if any(m != "hs" for m in methods) else None
@@ -117,12 +111,7 @@ def _cmd_var(args) -> int:
         for m in methods
     ]
     write_var_csv(columns, args.out)
-    _write_manifest(args.out, "var",
-                    {"method": args.method, "level": args.level,
-                     "window": args.window, "date_column": args.date_column,
-                     "value_column": args.value_column, "prices": args.prices},
-                    args.input, None, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
 def _breach_csv_path(out) -> Path:
@@ -130,7 +119,7 @@ def _breach_csv_path(out) -> Path:
     return out.with_name(out.stem + ".breaches.csv")
 
 
-def _cmd_backtest(args) -> int:
+def _cmd_backtest(args) -> list:
     series = _load_returns(args)
     fitted = _fitted(series) if args.method != "hs" else None
     var_series = rolling_var(
@@ -141,47 +130,30 @@ def _cmd_backtest(args) -> int:
     payload = report.to_dict()
     payload["method"] = args.method
     payload["level"] = args.level
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, payload)
     breach_path = _breach_csv_path(args.out)
     write_breach_csv(b, breach_path)
-    _write_manifest(args.out, "backtest",
-                    {"method": args.method, "level": args.level,
-                     "window": args.window, "date_column": args.date_column,
-                     "value_column": args.value_column, "prices": args.prices},
-                    args.input, None, [args.out, breach_path])
-    return EXIT_OK
+    return [args.out, breach_path]
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> list:
     series = _load_returns(args)
     fitted = _fitted(series)
     cfg = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
                    level=args.level, innovation=args.innovation)
     ts = run_mc(fitted, cfg)
     write_term_csv(ts, args.out)
-    _write_manifest(args.out, "mc",
-                    {"innovation": args.innovation, "paths": args.paths,
-                     "horizon": args.horizon, "level": args.level,
-                     "date_column": args.date_column,
-                     "value_column": args.value_column, "prices": args.prices},
-                    args.input, args.seed, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
-def _cmd_connectedness(args) -> int:
+def _cmd_connectedness(args) -> list:
     series = load_multi_csv(args.input, date_column=args.date_column)
     model = fit_var(series, order=args.order)
     table = connectedness_table(model, horizon=args.horizon)
     write_table_csv(table, series.names, args.out)
     edges_path = Path(args.out).with_suffix(".edges.json")
     write_edges_json(table, series.names, edges_path)
-    _write_manifest(args.out, "connectedness",
-                    {"order": args.order, "horizon": args.horizon,
-                     "date_column": args.date_column},
-                    args.input, None, [args.out, edges_path])
-    return EXIT_OK
+    return [args.out, edges_path]
 
 
 def _add_input_options(sub, value_default: str) -> None:
@@ -202,9 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     qq = commands.add_parser("qq", help="QQ points of returns or residuals")
     _add_input_options(qq, "return")
     mode = qq.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--mean-match", action="store_true",
+    mode.add_argument("--mean-match", action="store_const", dest="mode",
+                      const="mean-match",
                       help="raw returns vs a normal with matched mean/sd")
-    mode.add_argument("--garch", action="store_true",
+    mode.add_argument("--garch", action="store_const", dest="mode",
+                      const="garch",
                       help="GARCH standardized residuals vs N(0,1)")
     qq.add_argument("--out", required=True)
 
@@ -260,17 +234,18 @@ def main(argv=None) -> int:
     if getattr(args, "method", None):
         args.method = args.method.replace("-", "_")
     try:
-        return _DISPATCH[args.command](args)
+        _write_manifest(args, _DISPATCH[args.command](args))
+        return EXIT_OK
     except (DataError, OSError) as exc:
         print(f"riskengine: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitDidNotConverge, EstimationError) as exc:
+    except EstimationError as exc:
         print(f"riskengine: estimation error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except TailTooSmallError as exc:
         print(f"riskengine: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"riskengine: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

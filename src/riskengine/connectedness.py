@@ -11,15 +11,12 @@ for j sums its column (off-diagonal) and "from others" sums its row.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import MultiSeries
-from .errors import DataError, EstimationError
+from .data import MultiSeries, write_json, write_rows
+from .errors import ConfigError, DataError, EstimationError
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class ConnectednessTable:
 def fit_var(series: MultiSeries, order: int) -> VarModel:
     """Per-equation OLS with intercept; Sigma uses divisor (T - order)."""
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise ConfigError(f"order must be >= 1, got {order}")
     y = np.asarray(series.values, dtype=float)
     total, n = y.shape
     if n < 2:
@@ -93,7 +90,7 @@ def ma_coefficients(model: VarModel, horizon: int) -> list[np.ndarray]:
     plays no role in the recursion.
     """
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     n = model.n_vars
     psi = [np.eye(n)]
     for h in range(1, horizon):
@@ -184,17 +181,12 @@ def write_table_csv(table: ConnectednessTable, names, path) -> None:
     sums to 1); the margins and TCI are in percent.
     """
     names = list(names)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series"] + names + ["from_others"])
-        for j, name in enumerate(names):
-            row = [name]
-            row += [repr(float(v)) for v in table.theta_tilde[j]]
-            row.append(repr(float(table.from_others[j])))
-            writer.writerow(row)
-        writer.writerow(["to_others"] + [repr(float(v)) for v in table.to_others] + [""])
-        writer.writerow(["net"] + [repr(float(v)) for v in table.net] + [""])
-        writer.writerow(["tci", repr(float(table.tci))] + [""] * len(names))
+    rows = [[name, *shares, margin] for name, shares, margin in
+            zip(names, table.theta_tilde.tolist(), table.from_others.tolist())]
+    rows.append(["to_others", *table.to_others.tolist(), ""])
+    rows.append(["net", *table.net.tolist(), ""])
+    rows.append(["tci", float(table.tci)] + [""] * len(names))
+    write_rows(path, ["series"] + names + ["from_others"], rows)
 
 
 def write_edges_json(table: ConnectednessTable, names, path) -> None:
@@ -203,6 +195,4 @@ def write_edges_json(table: ConnectednessTable, names, path) -> None:
         "tci": float(table.tci),
         "edges": edge_list(table, names),
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -1,4 +1,7 @@
-"""Return-series ingestion: CSV loading, price-to-return conversion, windows.
+"""Return-series ingestion and file output.
+
+CSV loading, price-to-return conversion and windows, plus the CSV and JSON
+writers that every output file of the engine goes through.
 
 All downstream analytics consume :class:`ReturnSeries` (univariate) or
 :class:`MultiSeries` (one date index, several named columns). Both are
@@ -8,6 +11,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -25,6 +29,14 @@ def _frozen_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _check_finite_increasing(dates, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError("non-finite value in series")
+    for a, b in zip(dates, dates[1:]):
+        if a >= b:
+            raise DataError(f"dates not strictly increasing at {b}")
 
 
 @dataclass(frozen=True)
@@ -47,11 +59,7 @@ class ReturnSeries:
             raise DataError(
                 f"{len(self.dates)} dates vs {len(self.returns)} values"
             )
-        if not np.all(np.isfinite(self.returns)):
-            raise DataError("non-finite value in series")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise DataError(f"dates not strictly increasing at {b}")
+        _check_finite_increasing(self.dates, self.returns)
         if self.kind not in (KIND_RETURN, KIND_PRICE):
             raise DataError(f"unknown series kind {self.kind!r}")
 
@@ -78,11 +86,7 @@ class MultiSeries:
                 f"shape {self.values.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.names)} names"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("non-finite value in series")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise DataError(f"dates not strictly increasing at {b}")
+        _check_finite_increasing(self.dates, self.values)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -114,82 +118,45 @@ def _parse_value(text: str, row_no: int) -> float:
     return value
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> ReturnSeries:
-    """Load one dated value column from a CSV file.
+def _read_columns(path, date_column: str, value_columns):
+    """Read a dated CSV into (value column names, dates, [T, k] values).
 
-    Rows are sorted by date on load; duplicate dates are rejected. When
-    ``schema.value_kind`` is ``"price"`` the values are kept as-is and the
-    kind is recorded for a later :func:`to_log_returns` conversion.
+    ``value_columns`` names the columns to parse; None means every column but
+    the date. Other columns are only counted. Rows come back sorted by date.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        for col in (schema.date_column, schema.value_column):
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}")
-        d_idx = header.index(schema.date_column)
-        v_idx = header.index(schema.value_column)
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(d_idx, v_idx):
-                raise DataError(f"row {row_no}: expected {len(header)} fields")
-            rows.append(
-                (_parse_date(row[d_idx], row_no), _parse_value(row[v_idx], row_no))
-            )
-    if not rows:
-        raise DataError(f"{path}: no observations")
-    rows.sort(key=lambda item: item[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DataError(f"duplicate date {a.isoformat()}")
-    dates, values = zip(*rows)
-    return ReturnSeries(
-        dates=dates,
-        returns=np.array(values),
-        label=schema.value_column,
-        kind=schema.value_kind,
-    )
-
-
-def load_multi_csv(path, date_column: str = "date") -> MultiSeries:
-    """Load every non-date column of a CSV file as one named series."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        if date_column not in header:
-            raise SchemaError(f"{path}: missing column {date_column!r}")
-        d_idx = header.index(date_column)
-        names = [h for i, h in enumerate(header) if i != d_idx]
-        if not names:
-            raise SchemaError(f"{path}: no value columns")
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"row {row_no}: expected {len(header)} fields")
-            when = _parse_date(row[d_idx], row_no)
-            vals = [
-                _parse_value(cell, row_no)
-                for i, cell in enumerate(row)
-                if i != d_idx
-            ]
-            rows.append((when, vals))
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SchemaError(
+                    f"{path}: empty file, header row required") from None
+            for col in [date_column, *(value_columns or ())]:
+                if col not in header:
+                    raise SchemaError(f"{path}: missing column {col!r}")
+            d_idx = header.index(date_column)
+            if value_columns is None:
+                v_idx = [i for i in range(len(header)) if i != d_idx]
+                if not v_idx:
+                    raise SchemaError(f"{path}: no value columns")
+            else:
+                v_idx = [header.index(col) for col in value_columns]
+            rows = []
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():  # blank or whitespace-only row
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"row {row_no}: expected {len(header)} fields")
+                when = _parse_date(row[d_idx], row_no)
+                rows.append(
+                    (when, [_parse_value(row[i], row_no) for i in v_idx]))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no observations")
     rows.sort(key=lambda item: item[0])
@@ -197,25 +164,60 @@ def load_multi_csv(path, date_column: str = "date") -> MultiSeries:
         if a == b:
             raise DataError(f"duplicate date {a.isoformat()}")
     dates = tuple(r[0] for r in rows)
-    values = np.array([r[1] for r in rows], dtype=float)
-    return MultiSeries(dates=dates, names=tuple(names), values=values)
+    names = tuple(header[i] for i in v_idx)
+    return names, dates, np.array([r[1] for r in rows], dtype=float)
+
+
+def load_csv(path, schema: CsvSchema = CsvSchema()) -> ReturnSeries:
+    """Load one dated value column from a CSV file.
+
+    Rows are sorted by date on load; duplicate dates are rejected. When
+    ``schema.value_kind`` is ``"price"`` the values are kept as-is and the
+    kind is recorded for a later :func:`to_log_returns` conversion.
+    """
+    _, dates, values = _read_columns(path, schema.date_column,
+                                     [schema.value_column])
+    return ReturnSeries(
+        dates=dates,
+        returns=values[:, 0],
+        label=schema.value_column,
+        kind=schema.value_kind,
+    )
+
+
+def load_multi_csv(path, date_column: str = "date") -> MultiSeries:
+    """Load every non-date column of a CSV file as one named series."""
+    names, dates, values = _read_columns(path, date_column, None)
+    return MultiSeries(dates=dates, names=names, values=values)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with LF line ends.
+
+    Floats are written with ``repr``, so a load recovers them exactly;
+    convert arrays with ``.tolist()``.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON document with sorted keys, two-space indent, final newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv(series: ReturnSeries, path, date_column: str = "date",
               value_column: str | None = None) -> None:
-    """Write a series back out in the same two-column layout `load_csv` reads.
-
-    Floats are rendered with `repr`, so a load of the written file recovers
-    the values exactly.
-    """
+    """Write a series back out in the same two-column layout `load_csv` reads."""
     if value_column is None:
         value_column = series.label or "return"
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([date_column, value_column])
-        for when, value in zip(series.dates, series.returns):
-            writer.writerow([when.isoformat(), repr(float(value))])
+    write_rows(path, [date_column, value_column],
+               zip((d.isoformat() for d in series.dates),
+                   series.returns.tolist()))
 
 
 def to_log_returns(prices: ReturnSeries) -> ReturnSeries:

@@ -13,6 +13,7 @@ filtered historical simulation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +160,21 @@ def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
     r = _as_returns(returns)
     if len(r) < 250:
         raise DataError(f"need at least 250 observations to fit, got {len(r)}")
-    sample_var = float(np.var(r, ddof=1))
-    if sample_var <= 0.0:
-        raise DataError("zero sample variance")
+    with np.errstate(over="ignore"):  # overflows are rejected just below
+        sample_var = float(np.var(r, ddof=1))
+        corner_omega = float(np.mean(r[1:] ** 2))
+    # a subnormal variance would underflow the starting omega to zero
+    if not sys.float_info.min <= sample_var < math.inf:
+        raise DataError(f"sample variance must be finite and at least "
+                        f"{sys.float_info.min}, got {sample_var}")
+    if corner_omega == math.inf:
+        raise DataError("mean square of the returns is not finite")
 
     def objective(u):
         try:
-            value = loglik(r, _unpack(u))
+            # a non-finite likelihood scores 1e12 below, warnings add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = loglik(r, _unpack(u))
         except (OverflowError, ValueError):
             return 1e12
         return -value if math.isfinite(value) else 1e12
@@ -187,7 +196,6 @@ def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
     value = -float(result.fun)
     # the simplex coordinates never reach alpha = beta = 0, whose optimum has
     # a closed form because sigma2[0] is fixed at the sample variance
-    corner_omega = float(np.mean(r[1:] ** 2))
     if corner_omega > 0.0:
         corner = GarchParams(omega=corner_omega, alpha=0.0, beta=0.0)
         corner_value = loglik(r, corner)

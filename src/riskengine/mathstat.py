@@ -8,12 +8,12 @@ would silently change every risk number downstream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .data import write_rows
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -137,11 +137,8 @@ def qq_points(sample, mean: float, sd: float) -> QQPoints:
 
 def write_qq_csv(points: QQPoints, path) -> None:
     """Two-column CSV (theoretical, empirical) for external plotting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theoretical", "empirical"])
-        for t, e in zip(points.theoretical, points.empirical):
-            writer.writerow([repr(float(t)), repr(float(e))])
+    write_rows(path, ["theoretical", "empirical"],
+               zip(points.theoretical.tolist(), points.empirical.tolist()))
 
 
 def normal_es(p: float, sigma: float) -> float:

@@ -16,14 +16,12 @@ block size. ``RISK_THREADS`` is accepted and ignored.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .data import write_json, write_rows
 from .errors import ConfigError, DataError, TailTooSmallError
 from .garch import GarchFit, GarchParams, next_variance
 
@@ -173,14 +171,9 @@ def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
 
 def write_term_csv(ts: TermStructure, path) -> None:
     """horizon/var/es rows; values are signed cumulative-return quantiles."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["horizon", "var", "es"])
-        for h in range(ts.horizon):
-            writer.writerow([h + 1, repr(float(ts.var[h])), repr(float(ts.es[h]))])
+    write_rows(path, ["horizon", "var", "es"],
+               zip(range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()))
 
 
 def write_term_json(ts: TermStructure, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(ts.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ts.to_dict())

@@ -12,14 +12,12 @@ signed: a 5% VaR is a negative return quantile.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
-from .data import ReturnSeries, window
+from .data import ReturnSeries, window, write_rows
 from .errors import AlignmentError, ConfigError, DataError
 from .garch import GarchFit
 from .mathstat import empirical_quantile, norm_inv_cdf
@@ -129,10 +127,6 @@ def write_var_csv(columns: list[VarSeries], path) -> None:
     for other in columns[1:]:
         if other.dates != first.dates:
             raise AlignmentError("VaR series do not share a date index")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "return"] + [f"var_{c.method}" for c in columns])
-        for i, when in enumerate(first.dates):
-            row = [when.isoformat(), repr(float(first.realized[i]))]
-            row += [repr(float(c.var[i])) for c in columns]
-            writer.writerow(row)
+    values = zip(first.realized.tolist(), *(c.var.tolist() for c in columns))
+    write_rows(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
+               ([when.isoformat(), *row] for when, row in zip(first.dates, values)))

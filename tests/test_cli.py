@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
+import tempfile
+import warnings
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine.cli import main
 from riskengine.garch import GarchParams
@@ -310,3 +317,167 @@ class TestExitCodes:
             assert manifest["version"]
             assert manifest["command"] == args[0]
             assert str(out) in manifest["outputs"]
+
+
+class TestInputFaults:
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("date,return\n2020-01-01," + "1" * 140_000 + "\n",
+                        encoding="utf-8")
+        assert main(["var", str(path), "--out", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("riskengine: data error: ")
+        assert "field larger than field limit" in err
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,return\n2020-01-01,0.1\n2020-01-02,\xff0.2\n")
+        assert main(["var", str(path), "--out", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("riskengine: data error: ")
+        assert err.count("\n") == 1
+
+    def test_short_row_is_data_error(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("date,return,note\n2020-01-01,0.1\n", encoding="utf-8")
+        assert main(["qq", str(path), "--mean-match",
+                     "--out", str(tmp_path / "q.csv")]) == 2
+
+    @pytest.mark.parametrize("values", [[0.01] * 300, [0.01]],
+                             ids=["constant", "single-row"])
+    def test_mean_match_without_spread_is_data_error(self, tmp_path, capsys,
+                                                     values):
+        path = tmp_path / "flat.csv"
+        rows = ["date,return"] + [
+            f"{date.fromordinal(735000 + i).isoformat()},{v!r}"
+            for i, v in enumerate(values)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["qq", str(path), "--mean-match",
+                     "--out", str(tmp_path / "q.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("riskengine: data error: ")
+
+    @pytest.mark.parametrize("flag", ["--order", "--horizon"])
+    def test_connectedness_zero_is_config_error(self, tmp_path, flag):
+        src = _multi_csv(tmp_path, n=500)
+        assert main(["connectedness", str(src), flag, "0",
+                     "--out", str(tmp_path / "t.csv")]) == 4
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("args, config", [
+        (["qq", "--garch"],
+         {"mode": "garch", "date_column": "date", "value_column": "return",
+          "prices": False}),
+        (["qq", "--mean-match"],
+         {"mode": "mean-match", "date_column": "date",
+          "value_column": "return", "prices": False}),
+        (["var", "--method", "garch-n", "--window", "150"],
+         {"method": "garch_n", "level": 0.05, "window": 150,
+          "date_column": "date", "value_column": "return", "prices": False}),
+        (["backtest", "--method", "hs", "--level", "0.01"],
+         {"method": "hs", "level": 0.01, "window": 200,
+          "date_column": "date", "value_column": "return", "prices": False}),
+        (["mc", "--seed", "9", "--innovation", "fhs", "--paths", "500"],
+         {"innovation": "fhs", "paths": 500, "horizon": 5, "level": 0.01,
+          "date_column": "date", "value_column": "return", "prices": False}),
+        (["connectedness", "--order", "2"],
+         {"order": 2, "horizon": 10, "date_column": "date"}),
+    ], ids=["qq-garch", "qq-mean-match", "var", "backtest", "mc",
+            "connectedness"])
+    def test_exact_config(self, tmp_path, args, config):
+        if args[0] == "connectedness":
+            src = _multi_csv(tmp_path, n=500)
+        else:
+            src, _ = _returns_csv(tmp_path, n=400)
+        out = tmp_path / "out.csv"
+        assert main([args[0], str(src), *args[1:], "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["config"] == config
+        assert manifest["seed"] == (9 if args[0] == "mc" else None)
+
+
+# valid values are listed several times so most runs get past validation
+_LEVEL = st.sampled_from(["0.01", "0.05", "0.3"] * 3 + ["0.5", "-1"])
+_WINDOW = st.sampled_from(["20", "50", "200"] * 3 + ["1"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["qq", "var", "backtest", "mc",
+                                    "connectedness"]))
+    if command == "qq":
+        flags = [draw(st.sampled_from(["--mean-match", "--garch"]))]
+    elif command == "var":
+        flags = ["--method", draw(st.sampled_from(["hs", "garch-n", "fhs", "all"])),
+                 "--level", draw(_LEVEL), "--window", draw(_WINDOW)]
+    elif command == "backtest":
+        flags = ["--method", draw(st.sampled_from(["hs", "garch-n", "fhs"])),
+                 "--level", draw(_LEVEL), "--window", draw(_WINDOW)]
+    elif command == "mc":
+        flags = ["--innovation", draw(st.sampled_from(["normal", "fhs"])),
+                 "--paths", draw(st.sampled_from(["50", "100", "1000"])),
+                 "--horizon", draw(st.sampled_from(["1", "5"] * 3 + ["0", "251"])),
+                 "--level", draw(_LEVEL),
+                 "--seed", draw(st.sampled_from(["0", "7"] * 3 + ["-1", str(2**64)]))]
+    else:
+        return [command, "--order", draw(st.sampled_from(["1", "2"] * 3 + ["0"])),
+                "--horizon", draw(st.sampled_from(["1", "10"] * 3 + ["0"]))]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        flags.append("--prices")
+    return [command, *flags]
+
+
+@st.composite
+def _csv_bytes(draw):
+    # at least half the files are long enough for a GARCH fit (250 rows)
+    n = draw(st.one_of(st.integers(min_value=1, max_value=400),
+                       st.integers(min_value=250, max_value=400)))
+    scale = 10.0 ** draw(st.integers(min_value=-300, max_value=300))
+    loc = draw(st.sampled_from([0.0] * 3 + [1.0, 1e150, 1e154]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    values = (loc + rng.standard_normal((n, 2)) * scale).tolist()
+    if draw(st.booleans()):  # positive, so --prices can take them
+        values = [[abs(a) + scale, abs(b) + scale] for a, b in values]
+    lines = [f"{date.fromordinal(735000 + i).isoformat()},{a!r},{b!r}"
+             for i, (a, b) in enumerate(values)]
+    fault = draw(st.sampled_from(
+        [None] * 10 + ["ragged", "duplicate", "text", "blank", "bad-byte"]))
+    at = draw(st.integers(min_value=0, max_value=n - 1))
+    if fault == "ragged":
+        lines[at] = lines[at].rsplit(",", 1)[0]
+    elif fault == "duplicate":
+        lines.insert(at, lines[at])
+    elif fault == "text":
+        lines[at] = lines[at].split(",")[0] + ",n/a," + lines[at].split(",")[2]
+    elif fault == "blank":
+        lines.insert(at, "")
+    data = ("date,return,b\n" + "\n".join(lines) + "\n").encode("utf-8")
+    if fault == "bad-byte":
+        cut = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argv(), data=_csv_bytes())
+def test_every_input_ends_in_a_documented_exit_code(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.csv"
+        src.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main([argv[0], str(src), *argv[1:],
+                             "--out", str(Path(tmp) / "out.csv")])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("riskengine")
+    assert [str(w.message) for w in caught] == []

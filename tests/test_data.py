@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine.data import (
     CsvSchema,
@@ -12,6 +14,7 @@ from riskengine.data import (
     to_log_returns,
     window,
     write_csv,
+    write_rows,
 )
 from riskengine.errors import DataError, SchemaError
 
@@ -82,6 +85,36 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv")
+
+    def test_short_row_names_row(self, tmp_path):
+        # every non-blank row must have the header's field count, even when
+        # the columns load_csv parses are present
+        path = _write(tmp_path, "date,return,note\n2020-01-01,1.0,a\n"
+                                "2020-01-02,2.0\n")
+        with pytest.raises(DataError, match="row 3: expected 3 fields"):
+            load_csv(path)
+
+    def test_blank_and_whitespace_rows_skipped(self, tmp_path):
+        path = _write(tmp_path, "date,return\n2020-01-01,1.0\n\n , \n"
+                                "2020-01-02,2.0\n")
+        assert load_csv(path).returns.tolist() == [1.0, 2.0]
+
+    def test_text_column_beside_return_loads(self, tmp_path):
+        path = _write(tmp_path, "date,ticker,return\n2020-01-02,ABC,0.5\n"
+                                "2020-01-01,ABC,0.25\n")
+        series = load_csv(path)
+        assert series.returns.tolist() == [0.25, 0.5]
+
+    def test_field_over_csv_limit_is_data_error(self, tmp_path):
+        path = _write(tmp_path, "date,return\n2020-01-01," + "1" * 140_000 + "\n")
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(path)
+
+    def test_undecodable_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,return\n2020-01-01,0.1\n2020-01-02,\xff0.2\n")
+        with pytest.raises(DataError, match="can't decode"):
+            load_csv(path)
 
     def test_price_kind_recorded(self, tmp_path):
         path = _write(tmp_path, "date,close\n2020-01-01,100.0\n2020-01-02,101.0\n")
@@ -203,3 +236,23 @@ class TestMultiCsv:
         path = _write(tmp_path, "when,a,b\n2020-01-01,0.1,0.2\n")
         with pytest.raises(SchemaError):
             load_multi_csv(path)
+
+    @pytest.mark.parametrize("row", ["2020-01-02,0.5", "2020-01-02,0.5,0.6,0.7"])
+    def test_ragged_row_names_row(self, tmp_path, row):
+        path = _write(tmp_path, f"date,a,b\n2020-01-01,0.1,0.2\n{row}\n")
+        with pytest.raises(DataError, match="row 3: expected 3 fields"):
+            load_multi_csv(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=50),
+       st.integers(min_value=1, max_value=700_000))
+def test_write_rows_round_trips_through_load_csv(tmp_path_factory, values, start):
+    path = tmp_path_factory.mktemp("rows") / "r.csv"
+    dates = [date.fromordinal(start + i) for i in range(len(values))]
+    write_rows(path, ["date", "return"],
+               zip((d.isoformat() for d in dates), values))
+    series = load_csv(path)
+    assert series.dates == tuple(dates)
+    assert series.returns.tolist() == values

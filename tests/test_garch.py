@@ -159,6 +159,16 @@ class TestFit:
         with pytest.raises(DataError, match="variance"):
             fit(np.full(300, 0.01))
 
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1e300), (1e154, 1e140),
+                                            (0.0, 10 ** -161.5)],
+                             ids=["variance-overflows", "mean-square-overflows",
+                                  "subnormal-variance"])
+    def test_out_of_range_returns_rejected(self, loc, scale):
+        # each used to end in a ValueError from GarchParams or math.log
+        r = loc + np.random.default_rng(0).standard_normal(300) * scale
+        with pytest.raises(DataError, match="finite"):
+            fit(r)
+
     def test_too_short(self):
         with pytest.raises(DataError):
             fit(np.random.default_rng(0).normal(size=100))
