@@ -11,6 +11,7 @@ for j sums its column (off-diagonal) and "from others" sums its row.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,13 @@ class ConnectednessTable:
 
 
 def fit_var(series: MultiSeries, order: int) -> VarModel:
-    """Per-equation OLS with intercept; Sigma uses divisor (T - order)."""
+    """Per-equation OLS with intercept; Sigma uses divisor (T - order).
+
+    The lag regressors are demeaned and scaled to unit sd before the solve
+    and the rank check, and the coefficients mapped back, so the fit does not
+    depend on the scale or level of the series. A constant lag column makes
+    the design rank-deficient.
+    """
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
     y = np.asarray(series.values, dtype=float)
@@ -66,21 +73,39 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
         raise DataError(
             f"{total} observations too few for a {n}-variable VAR({order})"
         )
-    # regressors: [1, y[t-1], ..., y[t-p]] for t = order..total-1
-    x = np.ones((rows, 1 + n * order))
+    # lag regressors [y[t-1], ..., y[t-p]] for t = order..total-1
+    lags = np.empty((rows, n * order))
     for lag in range(1, order + 1):
-        x[:, 1 + (lag - 1) * n: 1 + lag * n] = y[order - lag:total - lag]
+        lags[:, (lag - 1) * n: lag * n] = y[order - lag:total - lag]
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        mean = lags.mean(axis=0)
+        sd = lags.std(axis=0)
+    if not np.all(np.isfinite(sd)):
+        raise DataError("sample sd of a series is not finite")
+    if np.any(sd == 0.0):
+        raise EstimationError(
+            "rank-deficient regressor matrix: a lagged series has zero sd")
+    x = np.ones((rows, 1 + n * order))
+    x[:, 1:] = (lags - mean) / sd
     target = y[order:]
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise EstimationError("rank-deficient regressor matrix")
     coef, _, _, _ = np.linalg.lstsq(x, target, rcond=None)
-    resid = target - x @ coef
-    sigma = resid.T @ resid / rows
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        resid = target - x @ coef
+        sigma = resid.T @ resid / rows
     sigma = 0.5 * (sigma + sigma.T)
+    # gfevd needs each residual variance as a positive normal float
+    variances = np.diag(sigma)
+    if not np.all((variances >= sys.float_info.min) & (variances < np.inf)):
+        raise DataError(f"residual variances must be finite and at least "
+                        f"{sys.float_info.min}")
+    slopes = coef[1:] / sd[:, None]
+    intercept = coef[0] - mean @ slopes
     phi = tuple(
-        coef[1 + (lag - 1) * n: 1 + lag * n].T.copy() for lag in range(1, order + 1)
+        slopes[(lag - 1) * n: lag * n].T.copy() for lag in range(1, order + 1)
     )
-    return VarModel(order=order, intercept=coef[0].copy(), phi=phi, sigma=sigma)
+    return VarModel(order=order, intercept=intercept, phi=phi, sigma=sigma)
 
 
 def ma_coefficients(model: VarModel, horizon: int) -> list[np.ndarray]:
@@ -108,16 +133,26 @@ def gfevd(model: VarModel, horizon: int) -> np.ndarray:
                   / sum_h (Psi_h Sigma Psi_h')[j, j]
 
     No orthogonalization is involved, so the result does not depend on how
-    the variables are ordered.
+    the variables are ordered. Nor does it depend on the units of each
+    series, so it is computed in units of each residual sd, where Sigma is a
+    correlation matrix and no square can overflow or underflow.
     """
-    sigma = model.sigma
-    diag = np.diag(sigma)
+    diag = np.diag(model.sigma)
     if np.any(diag <= 0.0):
         raise ValueError("residual covariance has a nonpositive variance")
+    sd = np.sqrt(diag)
+    unit = VarModel(
+        order=model.order,
+        intercept=model.intercept / sd,
+        phi=tuple(phi * sd[None, :] / sd[:, None] for phi in model.phi),
+        sigma=model.sigma / np.outer(sd, sd),
+    )
+    sigma = unit.sigma
+    diag = np.diag(sigma)
     n = model.n_vars
     numer = np.zeros((n, n))
     denom = np.zeros(n)
-    for psi in ma_coefficients(model, horizon):
+    for psi in ma_coefficients(unit, horizon):
         a = psi @ sigma
         numer += a ** 2 / diag[None, :]
         denom += np.diag(a @ psi.T)

@@ -3,8 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from datetime import date
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskengine
 from riskengine.cli import main
 from riskengine.garch import GarchParams
 from riskengine.montecarlo import simulate_garch_returns
@@ -46,6 +49,25 @@ def _multi_csv(tmp_path, n=10_000, seed=2, name="multi.csv"):
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_fit_runs_without_importing_scipy(tmp_path):
+    # scipy is a test-only dependency; importing it would cost each command
+    # about a second
+    src, _ = _returns_csv(tmp_path)
+    script = (
+        "import sys\n"
+        "from riskengine.cli import main\n"
+        f"code = main(['var', {str(src)!r}, '--method', 'all',"
+        f" '--out', {str(tmp_path / 'v.csv')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    package_root = str(Path(riskengine.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "0 []"
 
 
 class TestQq:

@@ -107,6 +107,37 @@ class TestFitVar:
         resid = y[1:] - x @ coef
         assert np.allclose(model.sigma, resid.T @ resid / 399, atol=1e-12)
 
+    def test_order_two_matches_raw_design_oracle(self):
+        rng = np.random.default_rng(97)
+        y = rng.standard_normal((600, 3)) + 5.0
+        model = fit_var(_multi(y), order=2)
+        x = np.column_stack([np.ones(598), y[1:-1], y[:-2]])
+        coef, _, _, _ = np.linalg.lstsq(x, y[2:], rcond=None)
+        assert np.allclose(model.intercept, coef[0], rtol=0, atol=1e-12)
+        assert np.allclose(model.phi[0], coef[1:4].T, rtol=0, atol=1e-12)
+        assert np.allclose(model.phi[1], coef[4:7].T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale, shift", [
+        (1e-14, 0.0), (1e-20, 0.0), (1e-150, 0.0), (1e150, 0.0),
+        (1.0, 1e6), (1.0, 1e8),
+    ])
+    def test_invariant_to_scale_and_shift(self, scale, shift):
+        # a rank check or a square on the raw scale used to reject or
+        # overflow these panels
+        phi = np.array([[0.3, 0.0, 0.0], [0.4, 0.2, 0.0], [0.0, 0.3, 0.1]])
+        y = simulate_var1(phi, np.eye(3), 3_000, seed=99)
+        base = fit_var(_multi(y), order=2)
+        moved = fit_var(_multi(y * scale + shift), order=2)
+        for got, want in zip(moved.phi, base.phi):
+            assert np.allclose(got, want, rtol=0, atol=1e-7)
+        assert np.allclose(connectedness_table(moved).theta_tilde,
+                           connectedness_table(base).theta_tilde, rtol=0, atol=1e-8)
+
+    def test_residual_variance_below_float_range_is_data_error(self):
+        rng = np.random.default_rng(99)
+        with pytest.raises(DataError, match="residual variances"):
+            fit_var(_multi(rng.standard_normal((500, 2)) * 1e-160), order=1)
+
 
 class TestMaCoefficients:
     def _model(self, phis, sigma=None):

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from riskengine.errors import DataError
-from riskengine.garch import GarchParams, filter, fit, loglik, next_variance
+from riskengine.garch import (
+    GarchParams,
+    _pack,
+    _unpack,
+    filter,
+    fit,
+    loglik,
+    next_variance,
+)
 from riskengine.montecarlo import simulate_garch_returns
 
 
@@ -100,9 +108,15 @@ class TestFilter:
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(45)
+        cases = []
         for _ in range(10):
             params = _random_params(rng)
-            r = rng.normal(scale=0.01, size=250)
+            cases.append((params, rng.normal(scale=0.01, size=250)))
+        # persistence 1 - 1e-6 over a long sample, where rounding in the
+        # doubling scan has the most steps to pile up
+        cases.append((GarchParams(omega=1e-7, alpha=0.05, beta=1.0 - 1e-6 - 0.05),
+                      rng.normal(scale=0.01, size=20_000)))
+        for params, r in cases:
             sigma, _ = filter(r, params)
             assert np.allclose(sigma ** 2, reference_filter(r, params),
                                rtol=1e-12, atol=0)
@@ -234,3 +248,42 @@ class TestFit:
                                 "n_obs"}
         assert payload["n_obs"] == 1_000
         assert payload["converged"] is True
+
+
+_GARCH = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)
+_IID = GarchParams(omega=1e-4, alpha=0.0, beta=0.0)
+
+
+@pytest.mark.parametrize("params, innovation, n, seed", [
+    *[(_GARCH, "normal", 2_500, seed) for seed in (11, 12, 13)],
+    *[(_GARCH, "student_t", 2_500, seed) for seed in (21, 22, 23)],
+    *[(_IID, "normal", 2_500, seed) for seed in (31, 32)],
+    *[(_IID, "normal", 10_000, seed) for seed in (33, 34, 35)],
+    # Nelder-Mead ends on the alpha ~ 0 ridge and the alpha = beta = 0
+    # corner wins
+    (_IID, "normal", 10_000, 7171882947238035265),
+], ids=lambda v: v if isinstance(v, (str, int)) else
+       "garch" if v == _GARCH else "iid")
+def test_fit_matches_scipy_nelder_mead(params, innovation, n, seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    r = simulate_garch_returns(params, n, seed=seed, innovation=innovation)
+    sample_var = float(np.var(r, ddof=1))
+
+    def objective(u):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = loglik(r, _unpack(u))
+        except (OverflowError, ValueError):
+            return 1e12
+        return -value if math.isfinite(value) else 1e12
+
+    x0 = _pack(omega=sample_var * 0.05, alpha=0.05, beta=0.90)
+    result = optimize.minimize(
+        objective, x0, method="Nelder-Mead",
+        options={"maxiter": 2000, "maxfev": 8000, "xatol": 1e-8,
+                 "fatol": 1e-8 * max(1.0, abs(objective(x0)))})
+    corner = GarchParams(omega=float(np.mean(r[1:] ** 2)), alpha=0.0, beta=0.0)
+    expected = max(-float(result.fun), loglik(r, corner))
+    fitted = fit(r)
+    assert abs(fitted.loglik - expected) <= 1e-6
+    assert fitted.converged == bool(result.success)
