@@ -14,7 +14,7 @@ answer than "passed".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 
 import numpy as np
@@ -80,17 +80,7 @@ class CoverageReport:
     p_cc: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "breach_count": self.breach_count,
-            "n_obs": self.n_obs,
-            "frequency": self.frequency,
-            "lr_uc": self.lr_uc,
-            "p_uc": self.p_uc,
-            "lr_ind": self.lr_ind,
-            "p_ind": self.p_ind,
-            "lr_cc": self.lr_cc,
-            "p_cc": self.p_cc,
-        }
+        return asdict(self)
 
 
 def breaches(var_series: VarSeries) -> BreachSeries:
@@ -129,7 +119,7 @@ def lr_independence(c: TransitionCounts):
     """
     from0 = c.n00 + c.n01
     from1 = c.n10 + c.n11
-    if from0 == 0 or from1 == 0 or c.total < 1:
+    if from0 == 0 or from1 == 0:
         return None, None
     p_hat = (c.n01 + c.n11) / c.total
     pi0 = c.n01 / from0

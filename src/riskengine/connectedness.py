@@ -82,7 +82,13 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
         sd = lags.std(axis=0)
     if not np.all(np.isfinite(sd)):
         raise DataError("sample sd of a series is not finite")
-    if np.any(sd == 0.0):
+    flat = sd == 0.0
+    if np.any(flat):
+        # zero sd on a column that is not constant: the squared deviations
+        # underflowed, so the series is out of float range, not collinear
+        if np.any(lags[:, flat] != lags[0, flat]):
+            raise DataError(f"sample variance of a series is below "
+                            f"{sys.float_info.min}")
         raise EstimationError(
             "rank-deficient regressor matrix: a lagged series has zero sd")
     x = np.ones((rows, 1 + n * order))

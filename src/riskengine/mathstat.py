@@ -1,6 +1,7 @@
 """Distribution primitives used across the engine.
 
-Everything here is a pure function. The empirical quantile implements the
+Everything here is a pure function. The normal quantile and density come
+from the standard library's ``statistics.NormalDist``. ``tail_rank`` owns the
 sort-and-pick convention (k-th smallest with k = ceil(p*n), no interpolation)
 that the VaR estimators and Monte Carlo tail statistics share, so changing it
 would silently change every risk number downstream.
@@ -10,38 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .data import write_rows
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation to the normal inverse CDF (abs error ~1e-9
-# before refinement).
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACKLAM_LOW = 0.02425
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / _SQRT2PI
+_STD = NormalDist()
 
 
 def norm_cdf(x: float) -> float:
@@ -49,46 +26,31 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
 def norm_inv_cdf(p: float) -> float:
-    """Standard normal quantile, rational start plus one Newton step on the CDF."""
-    if not 0.0 < p < 1.0:
+    """Standard normal quantile (Wichura's AS241, from ``statistics``)."""
+    if not 0.0 < p < 1.0:  # NormalDist.inv_cdf lets nan through
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    z = _acklam(p)
-    density = norm_pdf(z)
-    if density > 0.0:
-        z -= (norm_cdf(z) - p) / density
-    return z
+    return _STD.inv_cdf(p)
 
 
-def empirical_quantile(xs, p: float) -> float:
-    """k-th smallest element with k = ceil(p*n); always a member of xs.
+def tail_rank(p: float, n: int) -> int:
+    """Sort-and-pick rank k = ceil(p*n), at least 1.
 
     The small negative nudge before ceil keeps decimal levels such as
     p=0.05, n=200 on the intended k (float rounding would otherwise push
     p*n just above the integer).
     """
+    return max(1, math.ceil(p * n - 1e-9))
+
+
+def empirical_quantile(xs, p: float) -> float:
+    """k-th smallest element with k = tail_rank(p, n); always a member of xs."""
     values = np.asarray(xs, dtype=float)
     if values.size == 0:
         raise ValueError("empirical quantile of an empty sample")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    k = max(1, math.ceil(p * values.size - 1e-9))
+    k = tail_rank(p, values.size)
     return float(np.partition(values, k - 1)[k - 1])
 
 
@@ -96,12 +58,13 @@ def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival probability P(X >= x) for df 1 or 2.
 
     df=2 has the closed form exp(-x/2); df=1 follows from the square of a
-    standard normal: P(Z^2 >= x) = 2*(1 - Phi(sqrt(x))).
+    standard normal: P(Z^2 >= x) = 2*Phi(-sqrt(x)) = erfc(sqrt(x/2)), which
+    keeps full relative precision far into the tail.
     """
     if x < 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     if df == 1:
-        return 2.0 * (1.0 - norm_cdf(math.sqrt(x)))
+        return math.erfc(math.sqrt(x / 2.0))
     if df == 2:
         return math.exp(-0.5 * x)
     raise ValueError(f"unsupported degrees of freedom: {df}")
@@ -150,4 +113,4 @@ def normal_es(p: float, sigma: float) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return -sigma * norm_pdf(norm_inv_cdf(p)) / p
+    return -sigma * _STD.pdf(norm_inv_cdf(p)) / p

@@ -24,6 +24,7 @@ import numpy as np
 from .data import write_json, write_rows
 from .errors import ConfigError, DataError, TailTooSmallError
 from .garch import GarchFit, GarchParams, next_variance
+from .mathstat import tail_rank
 
 INNOVATION_NORMAL = "normal"
 INNOVATION_FHS = "fhs"
@@ -117,8 +118,8 @@ def simulate_cumulative(fit: GarchFit, cfg: McConfig) -> np.ndarray:
 def term_structure(cum: np.ndarray, p: float) -> TermStructure:
     """Per-horizon empirical VaR and tail-mean ES of a cumulative matrix.
 
-    VaR is the k-th smallest cumulative return with k = ceil(p*n); ES is the
-    mean of those k values, so ES <= VaR by construction.
+    VaR is the k-th smallest cumulative return with k = tail_rank(p, n); ES
+    is the mean of those k values, so ES <= VaR by construction.
     """
     cum = np.asarray(cum, dtype=float)
     n_paths, horizon = cum.shape
@@ -126,7 +127,7 @@ def term_structure(cum: np.ndarray, p: float) -> TermStructure:
         raise TailTooSmallError(
             f"{n_paths} paths at level {p} leave fewer than 5 tail paths"
         )
-    k = max(1, math.ceil(p * n_paths - 1e-9))
+    k = tail_rank(p, n_paths)
     var = np.empty(horizon)
     es = np.empty(horizon)
     for h in range(horizon):

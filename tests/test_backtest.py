@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine.backtest import (
     BreachSeries,
@@ -241,6 +243,24 @@ class TestEvaluate:
         assert report.lr_uc is not None
         assert report.lr_ind is None
         assert report.lr_cc is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flags=st.lists(st.integers(0, 1), min_size=2, max_size=400),
+       alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_statistics_are_valid_or_null_when_a_state_is_never_left(flags, alpha):
+    report = evaluate(_breach(flags), alpha)
+    # a state is left when it occurs anywhere but the last day
+    untestable = not {0, 1} <= set(flags[:-1])
+    assert report.lr_uc is not None
+    assert (report.lr_ind is None) == untestable
+    assert (report.lr_cc is None) == untestable
+    for stat, p in [(report.lr_uc, report.p_uc), (report.lr_ind, report.p_ind),
+                    (report.lr_cc, report.p_cc)]:
+        assert (stat is None) == (p is None)
+        if stat is not None:
+            assert stat >= 0.0
+            assert 0.0 <= p <= 1.0
 
 
 class TestBreachCsv:

@@ -35,9 +35,9 @@ def _returns_csv(tmp_path, n=700, seed=1, name="returns.csv"):
     return path, values
 
 
-def _multi_csv(tmp_path, n=10_000, seed=2, name="multi.csv"):
+def _multi_csv(tmp_path, n=10_000, seed=2, name="multi.csv", scale=1.0):
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n, 2))
+    values = rng.standard_normal((n, 2)) * scale
     path = tmp_path / name
     rows = ["date,us,eu"]
     rows += [f"{date.fromordinal(700000 + i).isoformat()},"
@@ -384,6 +384,15 @@ class TestInputFaults:
         src = _multi_csv(tmp_path, n=500)
         assert main(["connectedness", str(src), flag, "0",
                      "--out", str(tmp_path / "t.csv")]) == 4
+
+    def test_connectedness_underflowing_panel_is_data_error(self, tmp_path,
+                                                            capsys):
+        # the squared deviations underflow, so np.std reads 0 on series that
+        # are not constant: out of float range, not rank-deficient
+        src = _multi_csv(tmp_path, n=600, scale=1e-200)
+        assert main(["connectedness", str(src),
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith("riskengine: data error: ")
 
 
 class TestManifestConfig:

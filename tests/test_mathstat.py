@@ -74,7 +74,16 @@ class TestNormInvCdf:
         for x in np.linspace(-6, 6, 61):
             assert norm_inv_cdf(norm_cdf(x)) == pytest.approx(x, abs=1e-8)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
+    def test_matches_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        levels = [1e-10, 0.001, 0.01, 0.025, 0.05, 0.49999999999999994, 0.5002,
+                  0.999999, 1 - 1e-10]
+        levels += [(i - 0.5) / 2500 for i in range(1, 2501)]
+        for p in levels:
+            assert norm_inv_cdf(p) == pytest.approx(float(special.ndtri(p)),
+                                                    rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_domain(self, p):
         with pytest.raises(ValueError):
             norm_inv_cdf(p)
@@ -146,6 +155,13 @@ class TestChi2Sf:
             for x in [0.2, 1.0, 3.0, 7.5]:
                 expected, _ = quad(density, x, np.inf, args=(df,), epsabs=1e-13)
                 assert chi2_sf(x, df) == pytest.approx(expected, abs=1e-10)
+
+    def test_df1_tail_matches_scipy(self):
+        # 1 - Phi(sqrt(x)) cancels: 1.5e-5 off at 50, exactly 0.0 from ~68.8
+        stats = pytest.importorskip("scipy.stats")
+        for x in [1.0, 10.0, 33.3, 50.0, 95.0, 200.0]:
+            assert chi2_sf(x, 1) == pytest.approx(float(stats.chi2.sf(x, 1)),
+                                                  rel=5e-14, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
