@@ -30,8 +30,8 @@ def _xlogy(x: float, y: float) -> float:
 
 
 def _clamp(stat: float) -> float:
-    # likelihood ratios are >= 0 up to rounding; clip stray -1e-13s
-    return 0.0 if -1e-12 < stat < 0.0 else stat
+    # likelihood ratios are >= 0 up to rounding; clip stray -1e-13s and -0.0
+    return 0.0 if -1e-12 < stat <= 0.0 else stat
 
 
 @dataclass(frozen=True)

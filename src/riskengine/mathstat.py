@@ -4,7 +4,8 @@ Everything here is a pure function. The normal quantile and density come
 from the standard library's ``statistics.NormalDist``. ``tail_rank`` owns the
 sort-and-pick convention (k-th smallest with k = ceil(p*n), no interpolation)
 that the VaR estimators and Monte Carlo tail statistics share, so changing it
-would silently change every risk number downstream.
+would silently change every risk number downstream. ``empirical_quantile``
+picks from one sample, ``rolling_quantile`` from every trailing window.
 """
 
 from __future__ import annotations
@@ -52,6 +53,34 @@ def empirical_quantile(xs, p: float) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     k = tail_rank(p, values.size)
     return float(np.partition(values, k - 1)[k - 1])
+
+
+# windows per partition block: one block copy holds about 2**17 float64 (1 MB)
+_BLOCK_CELLS = 2 ** 17
+
+
+def rolling_quantile(xs, m: int, p: float) -> np.ndarray:
+    """Trailing-window quantiles: entry t-m is the k-th smallest of xs[t-m:t].
+
+    One entry per t = m..n-1 with k = tail_rank(p, m), so each entry equals
+    ``empirical_quantile(xs[t-m:t], p)`` bit for bit. The windows are strided
+    views of xs; they are partitioned a block of rows at a time, so at most
+    one block (about 1 MB) is copied at once.
+    """
+    values = np.asarray(xs, dtype=float)
+    if not 0 < m < values.size:
+        raise ValueError(f"window {m} needs more than {m} values, "
+                         f"got {values.size}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie in (0, 1), got {p}")
+    k = tail_rank(p, m)
+    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], m)
+    out = np.empty(len(windows))
+    rows = max(1, _BLOCK_CELLS // m)
+    for start in range(0, len(windows), rows):
+        block = windows[start:start + rows]
+        out[start:start + rows] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return out
 
 
 def chi2_sf(x: float, df: int) -> float:

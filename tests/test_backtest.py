@@ -131,6 +131,12 @@ class TestLrIndependence:
         assert stat == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(1.0, abs=1e-12)
 
+    def test_single_leading_breach_is_positive_zero(self):
+        # the sequence 1, 0, 0, ...: both likelihoods agree, LR is -0.0 raw
+        stat, p = lr_independence(TransitionCounts(n00=10, n01=0, n10=1, n11=0))
+        assert stat == 0.0 and math.copysign(1.0, stat) == 1.0
+        assert p == 1.0
+
     def test_matches_direct_likelihoods(self):
         flags = [0, 0, 0, 1, 0, 0, 1, 0]
         stat, _ = lr_independence(transition_counts(_breach(flags)))
@@ -164,6 +170,13 @@ class TestLrUnconditional:
         stat, p = lr_unconditional(50, 1000, 0.05)
         assert stat == pytest.approx(0.0, abs=1e-12)
         assert p == pytest.approx(1.0, abs=1e-10)
+
+    def test_exact_nominal_count_is_positive_zero(self):
+        # 115/2300 is exactly 0.05, so the statistic rounds to -0.0 before
+        # clamping; the JSON must read 0.0, not -0.0
+        stat, p = lr_unconditional(115, 2300, 0.05)
+        assert stat == 0.0 and math.copysign(1.0, stat) == 1.0
+        assert p == 1.0
 
     def test_zero_breaches_closed_form(self):
         stat, _ = lr_unconditional(0, 250, 0.01)

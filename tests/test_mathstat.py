@@ -11,6 +11,7 @@ from riskengine.mathstat import (
     norm_inv_cdf,
     normal_es,
     qq_points,
+    rolling_quantile,
 )
 
 PHI = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
@@ -131,6 +132,26 @@ class TestEmpiricalQuantile:
             empirical_quantile([], 0.5)
         with pytest.raises(ValueError):
             empirical_quantile([1.0], 0.0)
+
+
+class TestRollingQuantile:
+    def test_matches_per_window_oracle_across_blocks(self):
+        # 2**17 // 20_000 = 6 windows per block: 50 windows span 9 blocks
+        rng = np.random.default_rng(24)
+        m = 20_000
+        xs = np.round(rng.normal(size=m + 50), 1)  # ties and signed zeros
+        out = rolling_quantile(xs, m, 0.05)
+        ref = np.array([empirical_quantile(xs[t - m:t], 0.05)
+                        for t in range(m, len(xs))])
+        assert out.tobytes() == ref.tobytes()
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            rolling_quantile(np.zeros(20), 20, 0.05)
+        with pytest.raises(ValueError):
+            rolling_quantile(np.zeros(21), 0, 0.05)
+        with pytest.raises(ValueError):
+            rolling_quantile(np.zeros(21), 20, 1.0)
 
 
 class TestChi2Sf:

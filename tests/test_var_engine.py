@@ -3,7 +3,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import riskengine.var_engine as var_engine
 from riskengine.data import ReturnSeries
 from riskengine.errors import AlignmentError, ConfigError, DataError
 from riskengine.garch import GarchFit, GarchParams, filter
@@ -220,3 +223,113 @@ class TestRollingVar:
         series = _series(np.random.default_rng(64).normal(size=150))
         with pytest.raises(DataError):
             rolling_var(series, None, VarConfig(method="hs", window=200))
+
+
+@st.composite
+def _tied_cases(draw):
+    """(values, window, level): lengths m+1..600, windows 20..n-1.
+
+    Values come from a pool of ``distinct`` draws of mixed magnitude plus
+    +0.0 and -0.0, so small pools give heavy ties and signed zeros.
+    """
+    n = draw(st.integers(21, 600))
+    m = draw(st.integers(20, n - 1))
+    p = draw(st.sampled_from([0.01, 0.025, 0.05, 0.1, 0.25])
+             | st.floats(1e-3, 0.499))
+    distinct = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    magnitudes = 10.0 ** rng.integers(-6, 3, size=distinct)
+    pool = np.concatenate([[0.0, -0.0],
+                           rng.standard_normal(distinct) * magnitudes])
+    return rng.choice(pool, size=n), m, p
+
+
+def _hand_fit(z, seed=0) -> GarchFit:
+    """A fit whose residuals are ``z`` and whose sigma is any positive path."""
+    sigma = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(z))
+    return GarchFit(params=GarchParams(omega=1.0, alpha=0.0, beta=0.0),
+                    sigma=sigma, z=np.asarray(z, float), loglik=0.0,
+                    converged=True)
+
+
+# p*m integral: 0.05*200 = 10 and 0.25*20 = 5
+_INTEGRAL_PM = [(np.repeat(np.linspace(-1.0, 1.0, 26), 10), 200, 0.05),
+                (np.repeat([-0.0, 0.0, -1.0, 1.0], 10), 20, 0.25)]
+
+
+class TestRollingVarProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_tied_cases())
+    @example(case=_INTEGRAL_PM[0])
+    @example(case=_INTEGRAL_PM[1])
+    def test_bytes_match_per_date_oracle(self, case):
+        values, m, p = case
+        series, fit = _series(values), _hand_fit(values)
+        hs_cfg = VarConfig(level=p, window=m, method="hs")
+        fhs_cfg = VarConfig(level=p, window=m, method="fhs")
+        dates = range(m, len(values))
+        hs_ref = np.array([hs_var(series, t, hs_cfg) for t in dates])
+        fhs_ref = np.array([fhs_var(fit.sigma[t], fit.z[t - m:t], p)
+                            for t in dates])
+        assert rolling_var(series, None, hs_cfg).var.tobytes() == hs_ref.tobytes()
+        assert rolling_var(series, fit, fhs_cfg).var.tobytes() == fhs_ref.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_tied_cases())
+    @example(case=_INTEGRAL_PM[1])
+    def test_hs_is_member_of_its_window(self, case):
+        values, m, p = case
+        out = rolling_var(_series(values), None,
+                          VarConfig(level=p, window=m, method="hs")).var
+        windows = np.lib.stride_tricks.sliding_window_view(values[:-1], m)
+        assert np.all(np.any(windows == out[:, None], axis=1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_tied_cases(), power=st.integers(-8, 8))
+    @example(case=_INTEGRAL_PM[1], power=-3)
+    def test_exact_power_of_two_scale_equivariance(self, case, power):
+        values, m, p = case
+        c = 2.0 ** power
+        hs_cfg = VarConfig(level=p, window=m, method="hs")
+        base = rolling_var(_series(values), None, hs_cfg).var
+        scaled = rolling_var(_series(c * values), None, hs_cfg).var
+        assert scaled.tobytes() == (c * base).tobytes()
+
+        fit = _hand_fit(values)
+        fit_scaled = GarchFit(params=fit.params, sigma=c * fit.sigma, z=fit.z,
+                              loglik=0.0, converged=True)
+        fhs_cfg = VarConfig(level=p, window=m, method="fhs")
+        series = _series(values)
+        base = rolling_var(series, fit, fhs_cfg).var
+        scaled = rolling_var(series, fit_scaled, fhs_cfg).var
+        assert scaled.tobytes() == (c * base).tobytes()
+
+
+def test_rolling_var_makes_no_per_date_quantile_calls(monkeypatch):
+    calls = []
+    scalar = var_engine.empirical_quantile
+
+    def counting(xs, p):
+        calls.append(p)
+        return scalar(xs, p)
+
+    monkeypatch.setattr(var_engine, "empirical_quantile", counting)
+    params = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)
+    series = _series(simulate_garch_returns(params, 1_000, seed=65))
+    fitted = _fit_for(series)
+    for method in ("hs", "fhs"):
+        rolling_var(series, fitted, VarConfig(method=method))
+    assert len(calls) == 0
+    hs_var(series, 200, VarConfig(method="hs"))
+    assert len(calls) == 1
+
+
+def test_fhs_rejects_non_positive_sigma():
+    series = _series(np.random.default_rng(66).normal(size=260))
+    fitted = _fit_for(series)
+    sigma = fitted.sigma.copy()
+    sigma[230] = 0.0
+    broken = GarchFit(params=fitted.params, sigma=sigma, z=fitted.z,
+                      loglik=0.0, converged=True)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        rolling_var(series, broken, VarConfig(method="fhs"))
