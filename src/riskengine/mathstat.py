@@ -55,7 +55,7 @@ def empirical_quantile(xs, p: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-# windows per partition block: one block copy holds about 2**17 float64 (1 MB)
+# float64 cells per partition block: 2**17 // m windows, about 1 MB copied
 _BLOCK_CELLS = 2 ** 17
 
 
