@@ -25,7 +25,6 @@ from .connectedness import (
     normalize_rows,
 )
 from .data import (
-    CsvSchema,
     MultiSeries,
     ReturnSeries,
     load_csv,

@@ -20,7 +20,7 @@ from datetime import date
 import numpy as np
 
 from .data import write_rows
-from .errors import AlignmentError
+from .errors import DataError
 from .mathstat import chi2_sf
 from .var_engine import VarSeries
 
@@ -42,12 +42,13 @@ class BreachSeries:
     indicator: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indicator",
-                           np.asarray(self.indicator, dtype=int))
-        if len(self.dates) != len(self.indicator):
-            raise AlignmentError("dates and indicators differ in length")
-        if not np.all((self.indicator == 0) | (self.indicator == 1)):
+        flags = np.asarray(self.indicator)
+        if len(self.dates) != len(flags):
+            raise DataError("dates and indicators differ in length")
+        # checked before the cast, which would truncate 0.5 to 0
+        if not np.all((flags == 0) | (flags == 1)):
             raise ValueError("indicator values must be 0 or 1")
+        object.__setattr__(self, "indicator", flags.astype(int))
 
     def __len__(self) -> int:
         return len(self.indicator)

@@ -6,11 +6,12 @@ than the input, output and seed as the configuration, the SHA-256 of the
 input file, the seed and the tool version. Stochastic commands require an
 explicit seed; identical invocations produce byte-identical files.
 
-Exit codes: 0 ok, 2 data error (missing, undecodable or malformed input, a
-sample that cannot be used, an unwritable output), 3 fit/estimation failure,
-4 bad configuration, 5 statistically infeasible request. A failure prints
-one line to stderr. Only the engine's own exception classes and ``OSError``
-are mapped to codes; any other exception is a bug and keeps its traceback.
+A run exits 0 on success. A failure prints one line to stderr and exits with
+the code its exception class carries in ``errors.py``: 2 data error
+(missing, undecodable or malformed input, a sample that cannot be used, an
+unwritable output; an ``OSError`` counts as one), 3 fit/estimation failure,
+4 bad configuration, 5 statistically infeasible request. Any other exception
+is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -25,42 +26,39 @@ import numpy as np
 from . import __version__
 from .backtest import breaches, evaluate, write_breach_csv
 from .connectedness import connectedness_table, fit_var, write_edges_json, write_table_csv
-from .data import CsvSchema, load_csv, load_multi_csv, to_log_returns, write_json
-from .errors import ConfigError, DataError, EstimationError, TailTooSmallError
+from .data import load_csv, load_multi_csv, to_log_returns, write_json
+from .errors import ConfigError, DataError, EstimationError
 from .garch import GarchFit, fit as fit_garch
 from .mathstat import qq_points, write_qq_csv
 from .montecarlo import McConfig, run_mc, write_term_csv
-from .var_engine import METHODS, VarConfig, rolling_var, write_var_csv
-
-EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_FIT = 3
-EXIT_CONFIG = 4
-EXIT_INFEASIBLE = 5
+from .var_engine import METHOD_HS, METHODS, VarConfig, rolling_var, write_var_csv
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are configuration errors, not the default argparse code 2
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def _sha256(path) -> str:
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such file: {path}")
     digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
+    with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
 
-def _write_manifest(args, outputs) -> None:
+def _write_manifest(args, input_sha256, outputs) -> None:
     """Record the run next to ``args.out``; every other parsed flag is config."""
     config = {key: value for key, value in vars(args).items()
               if key not in ("command", "input", "out", "seed")}
     write_json(str(args.out) + ".manifest.json", {
         "command": args.command,
         "config": config,
-        "input_sha256": _sha256(args.input),
+        "input_sha256": input_sha256,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
@@ -68,11 +66,9 @@ def _write_manifest(args, outputs) -> None:
 
 
 def _load_returns(args):
-    kind = "price" if args.prices else "return"
-    schema = CsvSchema(date_column=args.date_column,
-                       value_column=args.value_column,
-                       value_kind=kind)
-    series = load_csv(args.input, schema)
+    series = load_csv(args.input, date_column=args.date_column,
+                      value_column=args.value_column,
+                      kind="price" if args.prices else "return")
     if args.prices:
         series = to_log_returns(series)
     return series
@@ -83,6 +79,11 @@ def _fitted(series) -> GarchFit:
     if not fitted.converged:
         raise EstimationError("GARCH estimation did not converge")
     return fitted
+
+
+def _fit_for(series, methods) -> GarchFit | None:
+    """The converged fit the VaR methods need; None when all of them are HS."""
+    return _fitted(series) if any(m != METHOD_HS for m in methods) else None
 
 
 def _cmd_qq(args) -> list:
@@ -104,7 +105,7 @@ def _cmd_qq(args) -> list:
 def _cmd_var(args) -> list:
     series = _load_returns(args)
     methods = list(METHODS) if args.method == "all" else [args.method]
-    fitted = _fitted(series) if any(m != "hs" for m in methods) else None
+    fitted = _fit_for(series, methods)
     columns = [
         rolling_var(series, fitted,
                     VarConfig(level=args.level, window=args.window, method=m))
@@ -114,14 +115,9 @@ def _cmd_var(args) -> list:
     return [args.out]
 
 
-def _breach_csv_path(out) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + ".breaches.csv")
-
-
 def _cmd_backtest(args) -> list:
     series = _load_returns(args)
-    fitted = _fitted(series) if args.method != "hs" else None
+    fitted = _fit_for(series, [args.method])
     var_series = rolling_var(
         series, fitted,
         VarConfig(level=args.level, window=args.window, method=args.method))
@@ -131,7 +127,8 @@ def _cmd_backtest(args) -> list:
     payload["method"] = args.method
     payload["level"] = args.level
     write_json(args.out, payload)
-    breach_path = _breach_csv_path(args.out)
+    out = Path(args.out)
+    breach_path = out.with_name(out.stem + ".breaches.csv")
     write_breach_csv(b, breach_path)
     return [args.out, breach_path]
 
@@ -234,20 +231,14 @@ def main(argv=None) -> int:
     if getattr(args, "method", None):
         args.method = args.method.replace("-", "_")
     try:
-        _write_manifest(args, _DISPATCH[args.command](args))
-        return EXIT_OK
-    except (DataError, OSError) as exc:
-        print(f"riskengine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except EstimationError as exc:
-        print(f"riskengine: estimation error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except TailTooSmallError as exc:
-        print(f"riskengine: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConfigError as exc:
-        print(f"riskengine: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # hash before the command runs: an --out may overwrite the input
+        input_sha256 = _sha256(args.input)
+        _write_manifest(args, input_sha256, _DISPATCH[args.command](args))
+        return 0
+    except (DataError, EstimationError, ConfigError, OSError) as exc:
+        kind = DataError if isinstance(exc, OSError) else exc
+        print(f"riskengine: {kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 def entry() -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError
 
 KIND_RETURN = "return"
 KIND_PRICE = "price"
@@ -35,7 +35,9 @@ def _check_finite_increasing(dates, values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite value in series")
     for a, b in zip(dates, dates[1:]):
-        if a >= b:
+        if a == b:
+            raise DataError(f"duplicate date {b}")
+        if a > b:
             raise DataError(f"dates not strictly increasing at {b}")
 
 
@@ -92,15 +94,6 @@ class MultiSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for :func:`load_csv`."""
-
-    date_column: str = "date"
-    value_column: str = "return"
-    value_kind: str = KIND_RETURN
-
-
 def _parse_date(text: str, row_no: int) -> date:
     try:
         return date.fromisoformat(text.strip())
@@ -122,7 +115,8 @@ def _read_columns(path, date_column: str, value_columns):
     """Read a dated CSV into (value column names, dates, [T, k] values).
 
     ``value_columns`` names the columns to parse; None means every column but
-    the date. Other columns are only counted. Rows come back sorted by date.
+    the date. Other columns are only counted. Rows come back sorted by date;
+    the series constructors reject duplicate dates.
     """
     path = Path(path)
     if not path.is_file():
@@ -133,16 +127,16 @@ def _read_columns(path, date_column: str, value_columns):
             try:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
-                raise SchemaError(
+                raise DataError(
                     f"{path}: empty file, header row required") from None
             for col in [date_column, *(value_columns or ())]:
                 if col not in header:
-                    raise SchemaError(f"{path}: missing column {col!r}")
+                    raise DataError(f"{path}: missing column {col!r}")
             d_idx = header.index(date_column)
             if value_columns is None:
                 v_idx = [i for i in range(len(header)) if i != d_idx]
                 if not v_idx:
-                    raise SchemaError(f"{path}: no value columns")
+                    raise DataError(f"{path}: no value columns")
             else:
                 v_idx = [header.index(col) for col in value_columns]
             rows = []
@@ -160,29 +154,22 @@ def _read_columns(path, date_column: str, value_columns):
     if not rows:
         raise DataError(f"{path}: no observations")
     rows.sort(key=lambda item: item[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
-        if a == b:
-            raise DataError(f"duplicate date {a.isoformat()}")
     dates = tuple(r[0] for r in rows)
     names = tuple(header[i] for i in v_idx)
     return names, dates, np.array([r[1] for r in rows], dtype=float)
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> ReturnSeries:
+def load_csv(path, date_column: str = "date", value_column: str = "return",
+             kind: str = KIND_RETURN) -> ReturnSeries:
     """Load one dated value column from a CSV file.
 
     Rows are sorted by date on load; duplicate dates are rejected. When
-    ``schema.value_kind`` is ``"price"`` the values are kept as-is and the
-    kind is recorded for a later :func:`to_log_returns` conversion.
+    ``kind`` is ``"price"`` the values are kept as-is and the kind is
+    recorded for a later :func:`to_log_returns` conversion.
     """
-    _, dates, values = _read_columns(path, schema.date_column,
-                                     [schema.value_column])
-    return ReturnSeries(
-        dates=dates,
-        returns=values[:, 0],
-        label=schema.value_column,
-        kind=schema.value_kind,
-    )
+    _, dates, values = _read_columns(path, date_column, [value_column])
+    return ReturnSeries(dates=dates, returns=values[:, 0], label=value_column,
+                        kind=kind)
 
 
 def load_multi_csv(path, date_column: str = "date") -> MultiSeries:
@@ -210,12 +197,9 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def write_csv(series: ReturnSeries, path, date_column: str = "date",
-              value_column: str | None = None) -> None:
+def write_csv(series: ReturnSeries, path) -> None:
     """Write a series back out in the same two-column layout `load_csv` reads."""
-    if value_column is None:
-        value_column = series.label or "return"
-    write_rows(path, [date_column, value_column],
+    write_rows(path, ["date", series.label or "return"],
                zip((d.isoformat() for d in series.dates),
                    series.returns.tolist()))
 

@@ -242,18 +242,17 @@ def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float, fatol: float):
     return sim[0], float(fsim[0]), nfev < max_fev and iterations < max_iter
 
 
-def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
+def fit(returns) -> GarchFit:
     """Maximize the Gaussian quasi-likelihood with Nelder-Mead.
 
     The simplex runs on unconstrained coordinates (log omega, a squashed
     persistence and an alpha share), so every candidate satisfies the
     positivity and stationarity constraints. It stops when both the simplex
-    and its likelihood values are within ``tol`` (the latter relative to the
-    likelihood at the start point), or after ``max_iter`` iterations or
-    ``4 * max_iter`` likelihood evaluations. The closed-form optimum at
-    alpha = beta = 0 is also scored and wins if its likelihood is higher. A
-    failed convergence is not an error: the best point found is returned
-    with ``converged=False``.
+    and its likelihood values are within 1e-8 (the latter relative to the
+    likelihood at the start point), or after 2,000 iterations or 8,000
+    likelihood evaluations. The closed-form optimum at alpha = beta = 0 is
+    also scored and wins if its likelihood is higher. A failed convergence is
+    not an error: the best point found is returned with ``converged=False``.
     """
     r = _as_returns(returns)
     if len(r) < 250:
@@ -279,8 +278,8 @@ def fit(returns, *, max_iter: int = 2000, tol: float = 1e-8) -> GarchFit:
         return -value if math.isfinite(value) else 1e12
 
     x0 = _pack(omega=sample_var * 0.05, alpha=0.05, beta=0.90)
-    x, fx, converged = _nelder_mead(objective, x0, max_iter, xatol=tol,
-                                    fatol=tol * max(1.0, abs(objective(x0))))
+    x, fx, converged = _nelder_mead(objective, x0, 2000, xatol=1e-8,
+                                    fatol=1e-8 * max(1.0, abs(objective(x0))))
     params = _unpack(x)
     value = -fx
     # the simplex coordinates never reach alpha = beta = 0, whose optimum has

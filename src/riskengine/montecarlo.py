@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import write_json, write_rows
+from .data import write_rows
 from .errors import ConfigError, DataError, TailTooSmallError
 from .garch import GarchFit, GarchParams, next_variance
 from .mathstat import tail_rank
@@ -119,7 +119,8 @@ def term_structure(cum: np.ndarray, p: float) -> TermStructure:
     """Per-horizon empirical VaR and tail-mean ES of a cumulative matrix.
 
     VaR is the k-th smallest cumulative return with k = tail_rank(p, n); ES
-    is the mean of those k values, so ES <= VaR by construction.
+    is the mean of those k values, so ES <= VaR. When the k values tie, the
+    rounded mean can land one ulp above them, so ES is capped at VaR.
     """
     cum = np.asarray(cum, dtype=float)
     n_paths, horizon = cum.shape
@@ -133,7 +134,7 @@ def term_structure(cum: np.ndarray, p: float) -> TermStructure:
     for h in range(horizon):
         tail = np.partition(cum[:, h], k - 1)[:k]
         var[h] = tail.max()
-        es[h] = tail.mean()
+        es[h] = min(tail.mean(), var[h])
     return TermStructure(var=var, es=es, level=p, n_paths=n_paths)
 
 
@@ -144,12 +145,12 @@ def run_mc(fit: GarchFit, cfg: McConfig) -> TermStructure:
 
 
 def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
-                           innovation: str = INNOVATION_NORMAL,
-                           t_dof: float = 5.0) -> np.ndarray:
+                           innovation: str = INNOVATION_NORMAL) -> np.ndarray:
     """Synthetic return path following the variance recursion.
 
-    Student-t innovations are rescaled to unit variance so omega keeps its
-    meaning across innovation choices. Starts at the unconditional variance.
+    ``"student_t"`` innovations have 5 degrees of freedom and are rescaled to
+    unit variance so omega keeps its meaning across innovation choices.
+    Starts at the unconditional variance.
     """
     if n_obs < 1:
         raise ConfigError(f"need at least one observation, got {n_obs}")
@@ -157,9 +158,7 @@ def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
     if innovation == INNOVATION_NORMAL:
         z = rng.standard_normal(n_obs)
     elif innovation == "student_t":
-        if t_dof <= 2.0:
-            raise ConfigError(f"t_dof must exceed 2, got {t_dof}")
-        z = rng.standard_t(t_dof, n_obs) * math.sqrt((t_dof - 2.0) / t_dof)
+        z = rng.standard_t(5.0, n_obs) * math.sqrt((5.0 - 2.0) / 5.0)
     else:
         raise ConfigError(f"unknown innovation kind {innovation!r}")
     r = np.empty(n_obs)
@@ -174,7 +173,3 @@ def write_term_csv(ts: TermStructure, path) -> None:
     """horizon/var/es rows; values are signed cumulative-return quantiles."""
     write_rows(path, ["horizon", "var", "es"],
                zip(range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()))
-
-
-def write_term_json(ts: TermStructure, path) -> None:
-    write_json(path, ts.to_dict())

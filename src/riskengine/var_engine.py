@@ -25,7 +25,7 @@ from datetime import date
 import numpy as np
 
 from .data import ReturnSeries, window, write_rows
-from .errors import AlignmentError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .garch import GarchFit
 from .mathstat import empirical_quantile, norm_inv_cdf, rolling_quantile
 
@@ -100,9 +100,9 @@ def rolling_var(series: ReturnSeries, fit: GarchFit | None,
         raise DataError(f"series of length {total} too short for window {m}")
     if cfg.method in (METHOD_GARCH_N, METHOD_FHS):
         if fit is None:
-            raise AlignmentError(f"method {cfg.method!r} needs a GARCH fit")
+            raise DataError(f"method {cfg.method!r} needs a GARCH fit")
         if fit.n_obs != total:
-            raise AlignmentError(
+            raise DataError(
                 f"fit covers {fit.n_obs} observations, series has {total}"
             )
 
@@ -134,7 +134,7 @@ def write_var_csv(columns: list[VarSeries], path) -> None:
     first = columns[0]
     for other in columns[1:]:
         if other.dates != first.dates:
-            raise AlignmentError("VaR series do not share a date index")
+            raise DataError("VaR series do not share a date index")
     values = zip(first.realized.tolist(), *(c.var.tolist() for c in columns))
     write_rows(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
                ([when.isoformat(), *row] for when, row in zip(first.dates, values)))

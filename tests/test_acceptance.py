@@ -170,7 +170,7 @@ def test_criterion_08_backtest_calibration_fat_tails():
     garch_n_exceeds = 0
     for seed in range(5):
         r = simulate_garch_returns(TRUTH, 5_000, seed=800 + seed,
-                                   innovation="student_t", t_dof=5.0)
+                                   innovation="student_t")
         series = _series(r)
         fitted = fit(series)
         fhs = rolling_var(series, fitted,

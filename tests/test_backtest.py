@@ -18,6 +18,7 @@ from riskengine.backtest import (
     transition_counts,
     write_breach_csv,
 )
+from riskengine.errors import DataError
 from riskengine.mathstat import chi2_sf
 from riskengine.var_engine import VarSeries
 
@@ -54,6 +55,22 @@ def brute_force_independence(flags):
     l0 = (1 - p_hat) ** (n00 + n10) * p_hat ** (n01 + n11)
     l1 = ((1 - pi0) ** n00 * pi0 ** n01 * (1 - pi1) ** n10 * pi1 ** n11)
     return -2.0 * math.log(l0 / l1)
+
+
+class TestBreachSeries:
+    @pytest.mark.parametrize("flags", [[0, 2, 1], [-1, 0], [0.5, 1.9, 0.0],
+                                       [1.0, 0.999]])
+    def test_rejects_values_other_than_zero_and_one(self, flags):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            _breach(flags)
+
+    def test_accepts_bool_and_integral_float_flags(self):
+        assert _breach([True, False]).indicator.tolist() == [1, 0]
+        assert _breach([1.0, 0.0, 1.0]).indicator.tolist() == [1, 0, 1]
+
+    def test_length_mismatch_is_data_error(self):
+        with pytest.raises(DataError, match="differ in length"):
+            BreachSeries(dates=_dates(2), indicator=np.array([0, 1, 0]))
 
 
 class TestBreaches:

@@ -273,10 +273,14 @@ class TestPriceInput:
 
 
 class TestExitCodes:
-    def test_missing_input_file(self, tmp_path):
+    def test_missing_input_file(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        code = main(["var", str(tmp_path / "nope.csv"), "--out", str(out)])
+        missing = tmp_path / "nope.csv"
+        code = main(["var", str(missing), "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"riskengine: data error: no such file: {missing}\n")
+        assert not out.exists()
 
     def test_unwritable_output_is_data_error(self, tmp_path, capsys):
         path, _ = _returns_csv(tmp_path)
@@ -426,6 +430,14 @@ class TestManifestConfig:
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["config"] == config
         assert manifest["seed"] == (9 if args[0] == "mc" else None)
+
+    def test_hashes_input_that_out_overwrites(self, tmp_path):
+        src, _ = _returns_csv(tmp_path)
+        expected = hashlib.sha256(src.read_bytes()).hexdigest()
+        assert main(["var", str(src), "--method", "hs", "--out", str(src)]) == 0
+        assert _read_csv(src)[0] == ["date", "return", "var_hs"]
+        manifest = json.loads((tmp_path / "returns.csv.manifest.json").read_text())
+        assert manifest["input_sha256"] == expected
 
 
 # valid values are listed several times so most runs get past validation

@@ -2,6 +2,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine.connectedness import (
     VarModel,
@@ -296,3 +298,58 @@ class TestPipeline:
         by_pair = {(e["from"], e["to"]): e["weight"] for e in edges}
         assert by_pair[("bravo", "alpha")] == table.theta_tilde[0, 1]
         assert by_pair[("alpha", "bravo")] == table.theta_tilde[1, 0]
+
+
+@st.composite
+def _panels(draw):
+    """A stable VAR(1) panel of 2-4 series with correlated shocks."""
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.uniform(-0.4, 0.4, size=(k, k))
+    radius = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if radius > 0.9:
+        phi *= 0.9 / radius
+    a = rng.uniform(-1, 1, size=(k, k))
+    chol = np.linalg.cholesky(a @ a.T + 0.5 * np.eye(k))
+    y = simulate_var1(phi, chol, draw(st.integers(300, 600)),
+                      seed=int(rng.integers(2**32)))
+    return y, draw(st.integers(1, 2)), draw(st.integers(1, 12))
+
+
+class TestTableProperties:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_panels(), st.data())
+    def test_invariant_to_per_series_scale_and_shift(self, panel, data):
+        y, order, horizon = panel
+        k = y.shape[1]
+        exponents = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=k,
+                                       max_size=k))
+        shifts = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k,
+                                    max_size=k))
+        # the shift is in units of each series' own scale
+        moved = (y + np.array(shifts)) * 10.0 ** np.array(exponents)
+        base = connectedness_table(fit_var(_multi(y), order), horizon)
+        got = connectedness_table(fit_var(_multi(moved), order), horizon)
+        assert np.allclose(got.theta_tilde, base.theta_tilde, rtol=0, atol=1e-8)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_panels(), st.data())
+    def test_permuting_series_permutes_table(self, panel, data):
+        y, order, horizon = panel
+        k = y.shape[1]
+        perm = np.array(data.draw(st.permutations(range(k))))
+        base = connectedness_table(fit_var(_multi(y), order), horizon)
+        got = connectedness_table(fit_var(_multi(y[:, perm]), order), horizon)
+        assert np.allclose(got.theta_tilde,
+                           base.theta_tilde[np.ix_(perm, perm)],
+                           rtol=0, atol=1e-12)
+        assert np.allclose(got.net, base.net[perm], rtol=0, atol=1e-9)
+        assert got.tci == pytest.approx(base.tci, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_panels())
+    def test_normalized_rows_sum_to_one(self, panel):
+        y, order, horizon = panel
+        tilde = connectedness_table(fit_var(_multi(y), order), horizon).theta_tilde
+        assert np.all(tilde >= 0.0)
+        assert np.allclose(tilde.sum(axis=1), 1.0, rtol=0, atol=1e-12)

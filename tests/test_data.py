@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskengine.data import (
-    CsvSchema,
+    MultiSeries,
     ReturnSeries,
     load_csv,
     load_multi_csv,
@@ -16,7 +16,7 @@ from riskengine.data import (
     write_csv,
     write_rows,
 )
-from riskengine.errors import DataError, SchemaError
+from riskengine.errors import DataError
 
 
 def _write(tmp_path, text, name="input.csv"):
@@ -69,7 +69,7 @@ class TestLoadCsv:
 
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path, "date,value\n2020-01-01,1.0\n")
-        with pytest.raises(SchemaError, match="missing column 'return'"):
+        with pytest.raises(DataError, match="missing column 'return'"):
             load_csv(path)
 
     def test_duplicate_date(self, tmp_path):
@@ -118,7 +118,7 @@ class TestLoadCsv:
 
     def test_price_kind_recorded(self, tmp_path):
         path = _write(tmp_path, "date,close\n2020-01-01,100.0\n2020-01-02,101.0\n")
-        series = load_csv(path, CsvSchema(value_column="close", value_kind="price"))
+        series = load_csv(path, value_column="close", kind="price")
         assert series.kind == "price"
         assert series.returns.tolist() == [100.0, 101.0]
 
@@ -127,7 +127,7 @@ class TestLoadCsv:
         original = _series(rng.normal(scale=0.01, size=200))
         out = tmp_path / "out.csv"
         write_csv(original, out)
-        reloaded = load_csv(out, CsvSchema(value_column="r"))
+        reloaded = load_csv(out, value_column="r")
         assert reloaded.dates == original.dates
         assert reloaded.returns.tolist() == original.returns.tolist()
 
@@ -200,6 +200,13 @@ class TestSeriesInvariants:
         with pytest.raises(DataError, match="strictly increasing"):
             ReturnSeries(dates=dates, returns=np.array([0.1, 0.2]))
 
+    def test_rejects_duplicate_dates(self):
+        dates = [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 2)]
+        with pytest.raises(DataError, match="^duplicate date 2020-01-02$"):
+            ReturnSeries(dates=dates, returns=np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(DataError, match="^duplicate date 2020-01-02$"):
+            MultiSeries(dates=dates, names=["a"], values=np.zeros((3, 1)))
+
     def test_rejects_nan(self):
         dates = [date(2020, 1, 1), date(2020, 1, 2)]
         with pytest.raises(DataError, match="non-finite"):
@@ -234,7 +241,7 @@ class TestMultiCsv:
 
     def test_missing_date_column(self, tmp_path):
         path = _write(tmp_path, "when,a,b\n2020-01-01,0.1,0.2\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match="missing column 'date'"):
             load_multi_csv(path)
 
     @pytest.mark.parametrize("row", ["2020-01-02,0.5", "2020-01-02,0.5,0.6,0.7"])

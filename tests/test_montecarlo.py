@@ -1,8 +1,12 @@
+import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
 from riskengine.garch import GarchFit, GarchParams, filter, next_variance
@@ -180,6 +184,15 @@ class TestTermStructure:
         ts = term_structure(cum, 0.03)
         assert np.all(ts.es <= ts.var)
 
+    def test_tied_tail_mean_not_rounded_above_var(self):
+        # ten copies of this value sum and divide to one ulp above it; an FHS
+        # run with a small pool and a deep tail ties like this
+        x = -0.021170287180835145
+        cum = np.array([[x]] * 10 + [[0.0]] * 990)
+        ts = term_structure(cum, 0.01)
+        assert ts.var[0] == x
+        assert ts.es[0] == x
+
     def test_tail_too_small(self):
         with pytest.raises(TailTooSmallError):
             term_structure(np.zeros((200, 3)), 0.01)
@@ -243,23 +256,56 @@ class TestRunMc:
         cfg = McConfig(seed=15, n_paths=2000, horizon=2, level=0.02)
         ts = run_mc(fit, cfg)
         assert ts.config == cfg
-        payload = ts.to_dict()
+        payload = json.loads(json.dumps(ts.to_dict()))
         assert payload["seed"] == 15
         assert payload["innovation"] == "normal"
         assert payload["n_paths"] == 2000
         assert len(payload["var"]) == 2
+        assert payload["es"] == ts.es.tolist()
 
-    def test_json_export(self, tmp_path):
-        import json
 
-        from riskengine.montecarlo import write_term_json
+@st.composite
+def _fits(draw):
+    """A GarchFit filtered on a simulated path of its own parameters."""
+    omega = draw(st.floats(1e-7, 1e-3))
+    persistence = draw(st.floats(0.0, 0.99))
+    alpha = persistence * draw(st.floats(0.0, 1.0))
+    params = GarchParams(omega=omega, alpha=alpha, beta=persistence - alpha)
+    return _fit(params, n=draw(st.integers(20, 300)),
+                seed=draw(st.integers(0, 2**32 - 1)))
 
-        ts = run_mc(_fit(IID), McConfig(seed=16, n_paths=1000, horizon=3))
-        path = tmp_path / "term.json"
-        write_term_json(ts, path)
-        payload = json.loads(path.read_text())
-        assert payload["seed"] == 16
-        assert len(payload["es"]) == 3
+
+@st.composite
+def _mc_configs(draw):
+    level = draw(st.floats(0.001, 0.25))
+    n_paths = draw(st.integers(100, 5000))
+    assume(n_paths * level >= 5.0)
+    return McConfig(seed=draw(st.integers(0, 2**64 - 1)), n_paths=n_paths,
+                    horizon=draw(st.integers(1, 10)), level=level,
+                    innovation=draw(st.sampled_from(["normal", "fhs"])))
+
+
+class TestRunMcProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_fits(), _mc_configs(), st.integers(-20, 20))
+    def test_power_of_two_scale_is_exact(self, fit, cfg, k):
+        # omega x c**2 and sigma x c scale every return, hence every
+        # cumulative-return quantile and tail mean, by exactly c
+        c = 2.0 ** k
+        scaled = replace(fit, sigma=fit.sigma * c,
+                         params=replace(fit.params, omega=fit.params.omega * c * c))
+        base = run_mc(fit, cfg)
+        moved = run_mc(scaled, cfg)
+        assert moved.var.tolist() == (c * base.var).tolist()
+        assert moved.es.tolist() == (c * base.es).tolist()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_fits(), _mc_configs())
+    def test_es_never_above_var(self, fit, cfg):
+        ts = run_mc(fit, cfg)
+        assert ts.horizon == cfg.horizon
+        assert np.all(np.isfinite(ts.var)) and np.all(np.isfinite(ts.es))
+        assert np.all(ts.es <= ts.var)
 
 
 class TestGarchSimulator:
@@ -275,7 +321,7 @@ class TestGarchSimulator:
 
     def test_student_t_unit_variance_scaling(self):
         r = simulate_garch_returns(IID, 200_000, seed=3,
-                                   innovation="student_t", t_dof=5.0)
+                                   innovation="student_t")
         assert float(np.var(r)) == pytest.approx(1e-4, rel=0.05)
 
     def test_unknown_innovation(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import riskengine.var_engine as var_engine
 from riskengine.data import ReturnSeries
-from riskengine.errors import AlignmentError, ConfigError, DataError
+from riskengine.errors import ConfigError, DataError
 from riskengine.garch import GarchFit, GarchParams, filter
 from riskengine.mathstat import norm_inv_cdf
 from riskengine.montecarlo import simulate_garch_returns
@@ -214,9 +214,9 @@ class TestRollingVar:
         series = _series(np.random.default_rng(62).normal(size=300))
         other = _series(np.random.default_rng(63).normal(size=290))
         fitted = _fit_for(other)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match="fit covers 290 observations"):
             rolling_var(series, fitted, VarConfig(method="fhs"))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(DataError, match="needs a GARCH fit"):
             rolling_var(series, None, VarConfig(method="garch_n"))
 
     def test_series_too_short(self):
