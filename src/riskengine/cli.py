@@ -77,7 +77,7 @@ def _load_returns(args):
 def _fitted(series) -> GarchFit:
     fitted = fit_garch(series)
     if not fitted.converged:
-        raise EstimationError("GARCH estimation did not converge")
+        raise EstimationError("GARCH fit has no certified optimum")
     return fitted
 
 
@@ -134,11 +134,10 @@ def _cmd_backtest(args) -> list:
 
 
 def _cmd_mc(args) -> list:
-    series = _load_returns(args)
-    fitted = _fitted(series)
+    # the configuration, with its size bound, is checked before any input
     cfg = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
                    level=args.level, innovation=args.innovation)
-    ts = run_mc(fitted, cfg)
+    ts = run_mc(_fitted(_load_returns(args)), cfg)
     write_term_csv(ts, args.out)
     return [args.out]
 

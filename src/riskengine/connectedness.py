@@ -19,6 +19,9 @@ import numpy as np
 from .data import MultiSeries, write_json, write_rows
 from .errors import ConfigError, DataError, EstimationError
 
+# longest forecast horizon: every step builds one Psi_h
+_MAX_HORIZON = 1000
+
 
 @dataclass(frozen=True)
 class VarModel:
@@ -120,8 +123,8 @@ def ma_coefficients(model: VarModel, horizon: int) -> list[np.ndarray]:
     Psi_0 = I and Psi_h = sum_{i=1..min(h,p)} Phi_i Psi_{h-i}; the intercept
     plays no role in the recursion.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if not 1 <= horizon <= _MAX_HORIZON:
+        raise ConfigError(f"horizon must lie in 1..{_MAX_HORIZON}, got {horizon}")
     n = model.n_vars
     psi = [np.eye(n)]
     for h in range(1, horizon):

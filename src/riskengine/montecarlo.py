@@ -32,6 +32,9 @@ INNOVATION_FHS = "fhs"
 # block's innovations (1.3 MB at horizon 10) stay in a 2 MiB L2 through the
 # recursion; at 1e6 x 10, 8,192 to 65,536 time alike within noise.
 _BLOCK = 16384
+# cells of the [horizon, n_paths] output (2 GiB of float64): a larger
+# request is refused before anything is allocated
+_MAX_CELLS = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,9 @@ class McConfig:
             raise ConfigError(f"need at least 100 paths, got {self.n_paths}")
         if not 1 <= self.horizon <= 250:
             raise ConfigError(f"horizon must lie in 1..250, got {self.horizon}")
+        if self.n_paths * self.horizon > _MAX_CELLS:
+            raise ConfigError(f"paths x horizon must be at most {_MAX_CELLS}, "
+                              f"got {self.n_paths} x {self.horizon}")
         if not 0.0 < self.level < 0.5:
             raise ConfigError(f"level must lie in (0, 0.5), got {self.level}")
         if self.innovation not in (INNOVATION_NORMAL, INNOVATION_FHS):

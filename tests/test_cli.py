@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from datetime import date
 from pathlib import Path
@@ -25,8 +26,9 @@ from riskengine.montecarlo import simulate_garch_returns
 PARAMS = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)
 
 
-def _returns_csv(tmp_path, n=700, seed=1, name="returns.csv"):
-    values = simulate_garch_returns(PARAMS, n, seed=seed)
+def _returns_csv(tmp_path, n=700, seed=1, name="returns.csv", params=PARAMS,
+                 scale=1.0):
+    values = scale * simulate_garch_returns(params, n, seed=seed)
     path = tmp_path / name
     rows = ["date,return"]
     rows += [f"{date.fromordinal(735000 + i).isoformat()},{float(v)!r}"
@@ -130,6 +132,14 @@ class TestVar:
         out = tmp_path / "var_hs.csv"
         assert main(["var", str(src), "--method", "hs", "--out", str(out)]) == 0
         assert _read_csv(out)[0] == ["date", "return", "var_hs"]
+
+    def test_iid_series_that_nelder_mead_failed(self, tmp_path):
+        # white noise on which a Nelder-Mead fit stops at its iteration cap
+        # (test_garch); the certified fit must not turn it into exit 3
+        src, _ = _returns_csv(tmp_path, n=10_000, seed=1059,
+                              params=GarchParams(omega=1e-4, alpha=0.0, beta=0.0))
+        assert main(["var", str(src), "--method", "all",
+                     "--out", str(tmp_path / "var.csv")]) == 0
 
     def test_window_too_large(self, tmp_path):
         src, _ = _returns_csv(tmp_path, n=300)
@@ -301,6 +311,19 @@ class TestExitCodes:
                      str(tmp_path / "t.csv")])
         assert code == 3
 
+    def test_uncertified_garch_fit_is_estimation_error(self, tmp_path, capsys):
+        # all returns after the first are 0: the likelihood has no maximum
+        path = tmp_path / "spike.csv"
+        rows = ["date,return"]
+        rows += [f"{date.fromordinal(700000 + i).isoformat()},{0.01 if i == 0 else 0.0}"
+                 for i in range(300)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["var", str(path), "--method", "garch-n",
+                     "--out", str(tmp_path / "v.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "riskengine: estimation error: GARCH fit has no certified optimum\n")
+
     def test_deterministic_outputs_without_seeds(self, tmp_path):
         src, _ = _returns_csv(tmp_path)
         for args, name in [
@@ -383,6 +406,23 @@ class TestInputFaults:
         assert code == 2
         assert capsys.readouterr().err.startswith("riskengine: data error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--paths", "1000000000", "--seed", "1"],
+        ["mc", "--paths", "100000000", "--horizon", "250", "--seed", "1"],
+        ["connectedness", "--horizon", "100000000"],
+    ], ids=["mc-paths", "mc-paths-horizon", "connectedness-horizon"])
+    def test_oversized_request_is_config_error_at_once(self, tmp_path, capsys,
+                                                      argv):
+        if argv[0] == "connectedness":
+            src = _multi_csv(tmp_path, n=500)
+        else:
+            src, _ = _returns_csv(tmp_path, n=400)
+        start = time.perf_counter()
+        code = main([argv[0], str(src), *argv[1:], "--out", str(tmp_path / "o.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert capsys.readouterr().err.startswith("riskengine: config error: ")
+
     @pytest.mark.parametrize("flag", ["--order", "--horizon"])
     def test_connectedness_zero_is_config_error(self, tmp_path, flag):
         src = _multi_csv(tmp_path, n=500)
@@ -459,13 +499,13 @@ def _argv(draw):
                  "--level", draw(_LEVEL), "--window", draw(_WINDOW)]
     elif command == "mc":
         flags = ["--innovation", draw(st.sampled_from(["normal", "fhs"])),
-                 "--paths", draw(st.sampled_from(["50", "100", "1000"])),
+                 "--paths", draw(st.sampled_from(["50", "100", "1000", "1000000000"])),
                  "--horizon", draw(st.sampled_from(["1", "5"] * 3 + ["0", "251"])),
                  "--level", draw(_LEVEL),
                  "--seed", draw(st.sampled_from(["0", "7"] * 3 + ["-1", str(2**64)]))]
     else:
         return [command, "--order", draw(st.sampled_from(["1", "2"] * 3 + ["0"])),
-                "--horizon", draw(st.sampled_from(["1", "10"] * 3 + ["0"]))]
+                "--horizon", draw(st.sampled_from(["1", "10"] * 3 + ["0", "100000000"]))]
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         flags.append("--prices")
     return [command, *flags]
@@ -524,3 +564,29 @@ def test_every_input_ends_in_a_documented_exit_code(argv, data):
         assert err.getvalue().count("\n") == 1
         assert err.getvalue().startswith("riskengine")
     assert [str(w.message) for w in caught] == []
+
+
+def _floats(path, first_column):
+    return np.array([[float(v) for v in row[first_column:]]
+                     for row in _read_csv(path)[1:]])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(params=st.sampled_from([PARAMS, GarchParams(omega=1e-4, alpha=0.0, beta=0.0)]),
+       seed=st.integers(min_value=0, max_value=2**32),
+       innovation=st.sampled_from(["normal", "fhs"]),
+       c=st.integers(min_value=-40, max_value=40).map(lambda k: 2.0 ** k))
+def test_var_and_mc_scale_by_a_power_of_two(params, seed, innovation, c):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        outputs = {}
+        for name, scale in (("base", 1.0), ("scaled", c)):
+            src, _ = _returns_csv(tmp, n=400, seed=seed, params=params,
+                                  scale=scale, name=f"{name}.csv")
+            var_out, mc_out = tmp / f"{name}.var.csv", tmp / f"{name}.mc.csv"
+            assert main(["var", str(src), "--method", "all", "--out", str(var_out)]) == 0
+            assert main(["mc", str(src), "--seed", "5", "--innovation", innovation,
+                         "--out", str(mc_out)]) == 0
+            outputs[name] = (_floats(var_out, 1), _floats(mc_out, 1))
+    for base, scaled in zip(outputs["base"], outputs["scaled"]):
+        assert np.array_equal(scaled, base * c)

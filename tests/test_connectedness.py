@@ -16,7 +16,7 @@ from riskengine.connectedness import (
     normalize_rows,
 )
 from riskengine.data import MultiSeries
-from riskengine.errors import DataError, EstimationError
+from riskengine.errors import ConfigError, DataError, EstimationError
 
 
 def _multi(values, names=None):
@@ -146,6 +146,15 @@ class TestMaCoefficients:
         k = phis[0].shape[0]
         return VarModel(order=len(phis), intercept=np.zeros(k),
                         phi=tuple(phis), sigma=sigma if sigma is not None else np.eye(k))
+
+    def test_horizon_bounds(self):
+        model = self._model([0.5 * np.eye(2)])
+        assert len(ma_coefficients(model, 1000)) == 1000
+        for horizon in (0, 1001, 10 ** 8):
+            with pytest.raises(ConfigError):
+                ma_coefficients(model, horizon)
+            with pytest.raises(ConfigError):
+                connectedness_table(model, horizon)
 
     def test_zero_phi(self):
         model = self._model([np.zeros((3, 3))])

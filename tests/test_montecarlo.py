@@ -63,12 +63,19 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"seed": 2 ** 64}, {"n_paths": 50}, {"horizon": 0},
         {"horizon": 251}, {"level": 0.5}, {"innovation": "cauchy"},
+        {"n_paths": 2 ** 28 // 10 + 1, "horizon": 10},
+        {"n_paths": 10 ** 9},
     ])
     def test_invalid(self, kwargs):
         base = {"seed": 1}
         base.update(kwargs)
         with pytest.raises(ConfigError):
             McConfig(**base)
+
+    def test_largest_accepted_size(self):
+        # exactly 2**28 cells, checked from the shape alone (nothing allocated)
+        cfg = McConfig(seed=1, n_paths=2 ** 25, horizon=8)
+        assert cfg.n_paths * cfg.horizon == 2 ** 28
 
 
 class TestSimulateCumulative:
