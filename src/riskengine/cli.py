@@ -10,8 +10,9 @@ A run exits 0 on success. A failure prints one line to stderr and exits with
 the code its exception class carries in ``errors.py``: 2 data error
 (missing, undecodable or malformed input, a sample that cannot be used, an
 unwritable output; an ``OSError`` counts as one), 3 fit/estimation failure,
-4 bad configuration, 5 statistically infeasible request. Any other exception
-is a bug and keeps its traceback.
+4 bad configuration (a ``MemoryError`` counts as one, reported as "out of
+memory"), 5 statistically infeasible request. Any other exception is a bug
+and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import numpy as np
 
 from . import __version__
 from .backtest import breaches, evaluate, write_breach_csv
-from .connectedness import connectedness_table, fit_var, write_edges_json, write_table_csv
+from .connectedness import (
+    check_horizon,
+    connectedness_table,
+    fit_var,
+    write_edges_json,
+    write_table_csv,
+)
 from .data import load_csv, load_multi_csv, to_log_returns, write_json
 from .errors import ConfigError, DataError, EstimationError
 from .garch import GarchFit, fit as fit_garch
@@ -143,6 +150,7 @@ def _cmd_mc(args) -> list:
 
 
 def _cmd_connectedness(args) -> list:
+    check_horizon(args.horizon)  # before the panel is read, as mc does
     series = load_multi_csv(args.input, date_column=args.date_column)
     model = fit_var(series, order=args.order)
     table = connectedness_table(model, horizon=args.horizon)
@@ -238,6 +246,11 @@ def main(argv=None) -> int:
         kind = DataError if isinstance(exc, OSError) else exc
         print(f"riskengine: {kind.label}: {exc}", file=sys.stderr)
         return kind.exit_code
+    except MemoryError as exc:
+        # a backstop: the size bounds refuse the requests known to need more
+        print(f"riskengine: {ConfigError.label}: out of memory: {exc}",
+              file=sys.stderr)
+        return ConfigError.exit_code
 
 
 def entry() -> None:

@@ -117,14 +117,19 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
     return VarModel(order=order, intercept=intercept, phi=phi, sigma=sigma)
 
 
+def check_horizon(horizon: int) -> None:
+    """Reject a forecast horizon outside 1.._MAX_HORIZON."""
+    if not 1 <= horizon <= _MAX_HORIZON:
+        raise ConfigError(f"horizon must lie in 1..{_MAX_HORIZON}, got {horizon}")
+
+
 def ma_coefficients(model: VarModel, horizon: int) -> list[np.ndarray]:
     """Psi_0..Psi_{H-1} of the moving-average representation.
 
     Psi_0 = I and Psi_h = sum_{i=1..min(h,p)} Phi_i Psi_{h-i}; the intercept
     plays no role in the recursion.
     """
-    if not 1 <= horizon <= _MAX_HORIZON:
-        raise ConfigError(f"horizon must lie in 1..{_MAX_HORIZON}, got {horizon}")
+    check_horizon(horizon)
     n = model.n_vars
     psi = [np.eye(n)]
     for h in range(1, horizon):

@@ -3,6 +3,12 @@
 CSV loading, price-to-return conversion and windows, plus the CSV and JSON
 writers that every output file of the engine goes through.
 
+The loader tokenises with :mod:`csv` and parses a block of rows at a time,
+column by column: one ``date.fromisoformat`` or ``float`` pass per column.
+A block with a blank, ragged, unparseable or non-finite row is parsed again
+row by row, which skips the blank rows and reports the first fault in file
+order. Only one block of raw fields is held at a time.
+
 All downstream analytics consume :class:`ReturnSeries` (univariate) or
 :class:`MultiSeries` (one date index, several named columns). Both are
 immutable after construction and safe to share between threads.
@@ -15,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +30,10 @@ from .errors import DataError
 
 KIND_RETURN = "return"
 KIND_PRICE = "price"
+# records parsed per block. A block's strings are what the load holds beyond
+# its result: at 256 rows a 3,000 x 20 panel loads within a smaller peak RSS
+# than a row-by-row parse, at 1,024 rows within a larger one
+_BLOCK_ROWS = 256
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -31,14 +42,19 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _ordinals(dates) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
+
+
 def _check_finite_increasing(dates, values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError("non-finite value in series")
-    for a, b in zip(dates, dates[1:]):
-        if a == b:
-            raise DataError(f"duplicate date {b}")
-        if a > b:
-            raise DataError(f"dates not strictly increasing at {b}")
+    steps = np.diff(_ordinals(dates))
+    if np.any(steps <= 0):
+        at = int(np.argmax(steps <= 0))
+        if steps[at] == 0:
+            raise DataError(f"duplicate date {dates[at + 1]}")
+        raise DataError(f"dates not strictly increasing at {dates[at + 1]}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,70 @@ def _parse_value(text: str, row_no: int) -> float:
     return value
 
 
+def _parse_rows(rows, first_row: int, width: int, d_idx: int, v_idx):
+    """Parse records one at a time, numbering them from ``first_row``.
+
+    Blank and whitespace-only records are skipped; the first fault raises
+    with its row number.
+    """
+    dates, values = [], []
+    for row_no, row in enumerate(rows, start=first_row):
+        if not "".join(row).strip():  # blank or whitespace-only row
+            continue
+        if len(row) != width:
+            raise DataError(f"row {row_no}: expected {width} fields")
+        dates.append(_parse_date(row[d_idx], row_no))
+        values.append([_parse_value(row[i], row_no) for i in v_idx])
+    return dates, np.array(values, dtype=float).reshape(len(dates), len(v_idx))
+
+
+def _parse_block(rows, first_row: int, width: int, d_idx: int, v_idx):
+    """Parse a block of records column by column into (dates, [n, k] values).
+
+    The column-wise parse makes the same ``date.fromisoformat`` and ``float``
+    calls as :func:`_parse_rows`. A block it cannot take whole (a blank or
+    ragged record, an unparseable or non-finite field) goes to
+    :func:`_parse_rows`, which skips the blanks or raises the block's first
+    fault.
+    """
+    if set(map(len, rows)) == {width}:
+        columns = tuple(zip(*rows))
+        try:
+            dates = list(map(date.fromisoformat,
+                             map(str.strip, columns[d_idx])))
+            values = np.column_stack([
+                np.fromiter(map(float, columns[i]), float, len(rows))
+                for i in v_idx])
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return dates, values
+    return _parse_rows(rows, first_row, width, d_idx, v_idx)
+
+
+def _blocks(reader):
+    """Successive lists of up to ``_BLOCK_ROWS`` records from ``reader``.
+
+    On a read error (undecodable bytes, a field over the csv limit) the
+    records read before it come out as a last list and the error is raised
+    after it, so that a fault in one of those records is still reported
+    first.
+    """
+    while True:
+        block = []
+        try:
+            for row in islice(reader, _BLOCK_ROWS):
+                block.append(row)
+        except (UnicodeDecodeError, csv.Error):
+            yield block
+            raise
+        if block:
+            yield block
+        if len(block) < _BLOCK_ROWS:
+            return
+
+
 def _read_columns(path, date_column: str, value_columns):
     """Read a dated CSV into (value column names, dates, [T, k] values).
 
@@ -139,24 +219,26 @@ def _read_columns(path, date_column: str, value_columns):
                     raise DataError(f"{path}: no value columns")
             else:
                 v_idx = [header.index(col) for col in value_columns]
-            rows = []
-            for row_no, row in enumerate(reader, start=2):
-                if not "".join(row).strip():  # blank or whitespace-only row
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"row {row_no}: expected {len(header)} fields")
-                when = _parse_date(row[d_idx], row_no)
-                rows.append(
-                    (when, [_parse_value(row[i], row_no) for i in v_idx]))
+            dates, values, row_no = [], [], 2
+            for block in _blocks(reader):
+                block_dates, block_values = _parse_block(
+                    block, row_no, len(header), d_idx, v_idx)
+                dates += block_dates
+                values.append(block_values)
+                row_no += len(block)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
-    if not rows:
+    if not dates:
         raise DataError(f"{path}: no observations")
-    rows.sort(key=lambda item: item[0])
-    dates = tuple(r[0] for r in rows)
+    values = np.concatenate(values)
+    ordinals = _ordinals(dates)
+    if np.any(ordinals[1:] < ordinals[:-1]):
+        # stable, like sorting the rows by date: duplicates keep file order
+        order = np.argsort(ordinals, kind="stable")
+        dates = [dates[i] for i in order.tolist()]
+        values = values[order]
     names = tuple(header[i] for i in v_idx)
-    return names, dates, np.array([r[1] for r in rows], dtype=float)
+    return names, tuple(dates), values
 
 
 def load_csv(path, date_column: str = "date", value_column: str = "return",

@@ -423,6 +423,31 @@ class TestInputFaults:
         assert code == 4
         assert capsys.readouterr().err.startswith("riskengine: config error: ")
 
+    def test_connectedness_horizon_checked_before_panel_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("the panel was read")
+
+        monkeypatch.setattr(riskengine.cli, "load_multi_csv", read)
+        src = _multi_csv(tmp_path, n=500, name="in.csv")
+        assert main(["connectedness", str(src), "--horizon", "100000000",
+                     "--out", str(tmp_path / "t.csv")]) == 4
+        assert capsys.readouterr().err == (
+            "riskengine: config error: horizon must lie in 1..1000, "
+            "got 100000000\n")
+
+    def test_memory_error_is_config_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        def exhaust(args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setitem(riskengine.cli._DISPATCH, "var", exhaust)
+        src, _ = _returns_csv(tmp_path, n=300)
+        assert main(["var", str(src), "--out", str(tmp_path / "v.csv")]) == 4
+        assert capsys.readouterr().err == (
+            "riskengine: config error: out of memory: "
+            "Unable to allocate 8.00 GiB\n")
+
     @pytest.mark.parametrize("flag", ["--order", "--horizon"])
     def test_connectedness_zero_is_config_error(self, tmp_path, flag):
         src = _multi_csv(tmp_path, n=500)

@@ -1,11 +1,17 @@
+import csv
 import math
+import tempfile
+import tracemalloc
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from riskengine import data
 from riskengine.data import (
     MultiSeries,
     ReturnSeries,
@@ -108,6 +114,22 @@ class TestLoadCsv:
     def test_field_over_csv_limit_is_data_error(self, tmp_path):
         path = _write(tmp_path, "date,return\n2020-01-01," + "1" * 140_000 + "\n")
         with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("fault", [b"1" * 140_000, b"\xff0.2"],
+                             ids=["oversized-field", "bad-byte"])
+    def test_row_fault_before_read_error_in_its_block_wins(self, tmp_path,
+                                                          fault):
+        # the reader raises at the oversized field, the decoder at the 8 KiB
+        # chunk that holds the bad byte: both lie past row 3 but in its block
+        rows = [f"{date.fromordinal(730000 + i).isoformat()},{i / 7!r},"
+                + "x" * 20 for i in range(250)]
+        rows[1] = "2000-01-01,oops,x"
+        path = tmp_path / "late.csv"
+        path.write_bytes(("date,return,note\n" + "\n".join(rows)).encode()
+                         + b"\n2020-01-01," + fault + b",x\n")
+        with pytest.raises(DataError,
+                           match=r"^row 3: unparseable number 'oops'$"):
             load_csv(path)
 
     def test_undecodable_bytes_are_data_error(self, tmp_path):
@@ -263,3 +285,149 @@ def test_write_rows_round_trips_through_load_csv(tmp_path_factory, values, start
     series = load_csv(path)
     assert series.dates == tuple(dates)
     assert series.returns.tolist() == values
+
+
+# values of a single field that stress the parse; the oracle decides which
+# of them load
+_ODD_DATES = ["2020-02-30", "n/a", "", " ", "2020/01/02", "20200102"]
+_ODD_VALUES = ["1_000", " 1.5 ", '"0.25"', "+.5", "1e999", "infinity", "-inf",
+               "nan", "NaN", "", " ", "1.2.3", "0x10", "n/a"]
+_NOTES = ["x", '"a, b"', '"two\nlines"', '""']
+_FAULTS = ["blank", "spaces", "commas", "space-fields", "short", "long",
+           "date", "padded-date", "quoted-date", "swap",
+           "big-field", "bad-byte"] + ["value", "duplicate"] * 3
+
+
+@st.composite
+def _reader_case(draw):
+    """A CSV file over several parse blocks, with faults near block edges."""
+    block = data._BLOCK_ROWS
+    n = draw(st.one_of(st.integers(min_value=0, max_value=3 * block + 5),
+                       st.integers(min_value=block + 1, max_value=3 * block + 5)))
+    header = draw(st.permutations(["date", "a", "b"]))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, 3)), "note")
+    width = len(header)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = 10.0 ** draw(st.integers(min_value=-300, max_value=300))
+    records = []
+    for i in range(n):
+        fields = {"date": date.fromordinal(735000 + i).isoformat(),
+                  "a": repr(float(rng.standard_normal() * scale)),
+                  "b": repr(float(rng.standard_normal())),
+                  "note": _NOTES[int(rng.integers(len(_NOTES)))]}
+        records.append([fields[col] for col in header])
+    if draw(st.integers(0, 4)) == 0:
+        rng.shuffle(records)
+    # a text column only loads when it is not parsed
+    value_columns = draw(st.sampled_from(
+        [["a"], ["b", "a"]] + ([] if "note" in header else [None])))
+    parsed = value_columns or ["a", "b"]
+    inserted = {"blank": [""], "spaces": ["  "], "commas": [""] * width,
+                "space-fields": [" "] * width}
+    edge = st.builds(lambda k, d: k * block + d,
+                     st.integers(1, 3), st.integers(-2, 1))
+    bad_byte_at = None
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=4)):
+        at = min(draw(st.one_of(edge, st.integers(0, n))), len(records))
+        if fault in inserted:
+            records.insert(at, list(inserted[fault]))
+            continue
+        if fault == "bad-byte":
+            bad_byte_at = at
+            continue
+        if not records:
+            continue
+        at = min(at, len(records) - 1)
+        row, day = records[at], header.index("date")
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("0.5")
+        elif len(row) < width:
+            continue
+        elif fault == "date":
+            row[day] = draw(st.sampled_from(_ODD_DATES))
+        elif fault == "padded-date":
+            row[day] = f" {row[day]} "
+        elif fault == "quoted-date":
+            row[day] = f'"{row[day]}"'
+        elif fault == "value":
+            row[header.index(draw(st.sampled_from(parsed)))] = draw(
+                st.sampled_from(_ODD_VALUES))
+        elif fault == "big-field":
+            row[header.index(draw(st.sampled_from(parsed)))] = (
+                "1" * (csv.field_size_limit() + 1))
+        elif fault == "swap":
+            other = draw(st.integers(0, len(records) - 1))
+            records[at], records[other] = records[other], records[at]
+        elif fault == "duplicate":  # same date, other values
+            twin = list(row)
+            for col in ("a", "b"):
+                twin[header.index(col)] = repr(float(rng.standard_normal()))
+            records.insert(draw(st.integers(0, len(records))), twin)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)] + [",".join(r) for r in records]
+    encoded = [(line + eol).encode("utf-8") for line in lines]
+    if bad_byte_at is not None:
+        encoded[1 + bad_byte_at:1 + bad_byte_at] = [b"\xff"]
+    raw = b"".join(encoded)
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    return raw, value_columns
+
+
+def _read_or_error(reader, path, value_columns):
+    try:
+        names, dates, values = reader(path, "date", value_columns)
+    except DataError as exc:
+        return str(exc)
+    return names, dates, values.shape, np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_reader_case())
+def test_block_reader_matches_row_by_row_oracle(case):
+    # same names, dates and value bytes, or the same first fault in file order
+    raw, value_columns = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(raw)
+        got = _read_or_error(data._read_columns, path, value_columns)
+        assert got == _read_or_error(oracles.read_columns, path, value_columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), max_size=12),
+       st.lists(st.sampled_from([0.5, -1.0, np.inf, np.nan]), max_size=12))
+def test_date_and_value_check_matches_pairwise_oracle(days, values):
+    dates = [date.fromordinal(738000 + d) for d in days]
+    values = np.array(values[:len(dates)] + [0.0] * (len(dates) - len(values)))
+    messages = []
+    for check in (data._check_finite_increasing,
+                  oracles.check_finite_increasing):
+        try:
+            check(dates, values)
+            messages.append(None)
+        except DataError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+
+
+def test_panel_load_peaks_no_higher_than_row_by_row_oracle(tmp_path):
+    # a whole-file columnar parse holds every field as a string at once
+    rng = np.random.default_rng(4)
+    path = tmp_path / "panel.csv"
+    write_rows(path, ["date"] + [f"s{j:02d}" for j in range(20)],
+               ([date.fromordinal(730000 + i).isoformat()] + row
+                for i, row in enumerate(rng.standard_normal((3000, 20)).tolist())))
+    peaks = []
+    for load in (load_multi_csv,
+                 lambda p: oracles.read_columns(p, "date", None)):
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
