@@ -21,7 +21,6 @@ from .connectedness import (
     fit_var,
     gfevd,
     indices,
-    ma_coefficients,
     normalize_rows,
 )
 from .data import (
@@ -30,7 +29,6 @@ from .data import (
     load_csv,
     load_multi_csv,
     to_log_returns,
-    window,
     write_csv,
 )
 from .garch import GarchFit, GarchParams, filter, fit, loglik, next_variance
@@ -38,9 +36,7 @@ from .mathstat import (
     QQPoints,
     chi2_sf,
     empirical_quantile,
-    norm_cdf,
     norm_inv_cdf,
-    normal_es,
     qq_points,
 )
 from .montecarlo import (
@@ -51,11 +47,4 @@ from .montecarlo import (
     simulate_garch_returns,
     term_structure,
 )
-from .var_engine import (
-    VarConfig,
-    VarSeries,
-    fhs_var,
-    garch_normal_var,
-    hs_var,
-    rolling_var,
-)
+from .var_engine import VarConfig, VarSeries, rolling_var

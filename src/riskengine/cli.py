@@ -4,7 +4,9 @@ Each subcommand returns the paths it wrote; ``main`` then writes one
 manifest (JSON next to the main output) recording the parsed options other
 than the input, output and seed as the configuration, the SHA-256 of the
 input file, the seed and the tool version. Stochastic commands require an
-explicit seed; identical invocations produce byte-identical files.
+explicit seed; identical invocations produce byte-identical files. Each
+subcommand checks its options before it parses the input, so a bad option
+exits 4 without a load or a fit.
 
 A run exits 0 on success. A failure prints one line to stderr and exits with
 the code its exception class carries in ``errors.py``: 2 data error
@@ -28,6 +30,7 @@ from . import __version__
 from .backtest import breaches, evaluate, write_breach_csv
 from .connectedness import (
     check_horizon,
+    check_order,
     connectedness_table,
     fit_var,
     write_edges_json,
@@ -110,24 +113,19 @@ def _cmd_qq(args) -> list:
 
 
 def _cmd_var(args) -> list:
-    series = _load_returns(args)
     methods = list(METHODS) if args.method == "all" else [args.method]
+    cfgs = [VarConfig(level=args.level, window=args.window, method=m)
+            for m in methods]
+    series = _load_returns(args)
     fitted = _fit_for(series, methods)
-    columns = [
-        rolling_var(series, fitted,
-                    VarConfig(level=args.level, window=args.window, method=m))
-        for m in methods
-    ]
-    write_var_csv(columns, args.out)
+    write_var_csv([rolling_var(series, fitted, cfg) for cfg in cfgs], args.out)
     return [args.out]
 
 
 def _cmd_backtest(args) -> list:
+    cfg = VarConfig(level=args.level, window=args.window, method=args.method)
     series = _load_returns(args)
-    fitted = _fit_for(series, [args.method])
-    var_series = rolling_var(
-        series, fitted,
-        VarConfig(level=args.level, window=args.window, method=args.method))
+    var_series = rolling_var(series, _fit_for(series, [cfg.method]), cfg)
     b = breaches(var_series)
     report = evaluate(b, args.level)
     payload = report.to_dict()
@@ -141,7 +139,6 @@ def _cmd_backtest(args) -> list:
 
 
 def _cmd_mc(args) -> list:
-    # the configuration, with its size bound, is checked before any input
     cfg = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
                    level=args.level, innovation=args.innovation)
     ts = run_mc(_fitted(_load_returns(args)), cfg)
@@ -150,7 +147,8 @@ def _cmd_mc(args) -> list:
 
 
 def _cmd_connectedness(args) -> list:
-    check_horizon(args.horizon)  # before the panel is read, as mc does
+    check_horizon(args.horizon)
+    check_order(args.order)
     series = load_multi_csv(args.input, date_column=args.date_column)
     model = fit_var(series, order=args.order)
     table = connectedness_table(model, horizon=args.horizon)

@@ -12,6 +12,7 @@ for j sums its column (off-diagonal) and "from others" sums its row.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,7 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
     depend on the scale or level of the series. A constant lag column makes
     the design rank-deficient.
     """
-    if order < 1:
-        raise ConfigError(f"order must be >= 1, got {order}")
+    check_order(order)
     y = np.asarray(series.values, dtype=float)
     total, n = y.shape
     if n < 2:
@@ -117,27 +117,16 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
     return VarModel(order=order, intercept=intercept, phi=phi, sigma=sigma)
 
 
+def check_order(order: int) -> None:
+    """Reject a VAR lag order below 1."""
+    if order < 1:
+        raise ConfigError(f"order must be >= 1, got {order}")
+
+
 def check_horizon(horizon: int) -> None:
     """Reject a forecast horizon outside 1.._MAX_HORIZON."""
     if not 1 <= horizon <= _MAX_HORIZON:
         raise ConfigError(f"horizon must lie in 1..{_MAX_HORIZON}, got {horizon}")
-
-
-def ma_coefficients(model: VarModel, horizon: int) -> list[np.ndarray]:
-    """Psi_0..Psi_{H-1} of the moving-average representation.
-
-    Psi_0 = I and Psi_h = sum_{i=1..min(h,p)} Phi_i Psi_{h-i}; the intercept
-    plays no role in the recursion.
-    """
-    check_horizon(horizon)
-    n = model.n_vars
-    psi = [np.eye(n)]
-    for h in range(1, horizon):
-        acc = np.zeros((n, n))
-        for i in range(1, min(h, model.order) + 1):
-            acc += model.phi[i - 1] @ psi[h - i]
-        psi.append(acc)
-    return psi
 
 
 def gfevd(model: VarModel, horizon: int) -> np.ndarray:
@@ -146,30 +135,38 @@ def gfevd(model: VarModel, horizon: int) -> np.ndarray:
     theta[j, k] = sigma_kk^-1 * sum_h (Psi_h Sigma)[j, k]^2
                   / sum_h (Psi_h Sigma Psi_h')[j, j]
 
+    with the moving-average coefficients Psi_0 = I and
+    Psi_h = sum_{i=1..min(h,p)} Phi_i Psi_{h-i} for h = 0..H-1. Each Psi_h
+    is added to the sums as it is made, and only the last p are kept.
+
     No orthogonalization is involved, so the result does not depend on how
     the variables are ordered. Nor does it depend on the units of each
     series, so it is computed in units of each residual sd, where Sigma is a
     correlation matrix and no square can overflow or underflow.
     """
+    check_horizon(horizon)
     diag = np.diag(model.sigma)
     if np.any(diag <= 0.0):
         raise ValueError("residual covariance has a nonpositive variance")
     sd = np.sqrt(diag)
-    unit = VarModel(
-        order=model.order,
-        intercept=model.intercept / sd,
-        phi=tuple(phi * sd[None, :] / sd[:, None] for phi in model.phi),
-        sigma=model.sigma / np.outer(sd, sd),
-    )
-    sigma = unit.sigma
+    phis = [phi * sd[None, :] / sd[:, None] for phi in model.phi]
+    sigma = model.sigma / np.outer(sd, sd)
     diag = np.diag(sigma)
     n = model.n_vars
     numer = np.zeros((n, n))
     denom = np.zeros(n)
-    for psi in ma_coefficients(unit, horizon):
+    recent = deque(maxlen=model.order)  # Psi_{h-1}, Psi_{h-2}, ...
+    for h in range(horizon):
+        if h == 0:
+            psi = np.eye(n)
+        else:
+            psi = np.zeros((n, n))
+            for phi, past in zip(phis, recent):
+                psi += phi @ past
         a = psi @ sigma
         numer += a ** 2 / diag[None, :]
         denom += np.diag(a @ psi.T)
+        recent.appendleft(psi)
     return numer / denom[:, None]
 
 

@@ -1,7 +1,7 @@
 """Return-series ingestion and file output.
 
-CSV loading, price-to-return conversion and windows, plus the CSV and JSON
-writers that every output file of the engine goes through.
+CSV loading and price-to-return conversion, plus the CSV and JSON writers
+that every output file of the engine goes through.
 
 The loader tokenises with :mod:`csv` and parses a block of rows at a time,
 column by column: one ``date.fromisoformat`` or ``float`` pass per column.
@@ -308,14 +308,3 @@ def to_log_returns(prices: ReturnSeries) -> ReturnSeries:
         label=prices.label,
         kind=KIND_RETURN,
     )
-
-
-def window(series: ReturnSeries, t: int, m: int) -> np.ndarray:
-    """The m observations strictly before index t (indices t-m .. t-1)."""
-    if m < 1:
-        raise DataError(f"window length must be positive, got {m}")
-    if t < m:
-        raise DataError(f"index {t} has no length-{m} history")
-    if t > len(series):
-        raise DataError(f"index {t} beyond series of length {len(series)}")
-    return series.returns[t - m:t].copy()

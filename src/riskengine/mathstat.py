@@ -1,7 +1,7 @@
 """Distribution primitives used across the engine.
 
-Everything here is a pure function. The normal quantile and density come
-from the standard library's ``statistics.NormalDist``. ``tail_rank`` owns the
+Everything here is a pure function. The normal quantile comes from the
+standard library's ``statistics.NormalDist``. ``tail_rank`` owns the
 sort-and-pick convention (k-th smallest with k = ceil(p*n), no interpolation)
 that the VaR estimators and Monte Carlo tail statistics share, so changing it
 would silently change every risk number downstream. ``empirical_quantile``
@@ -18,13 +18,7 @@ import numpy as np
 
 from .data import write_rows
 
-_SQRT2 = math.sqrt(2.0)
 _STD = NormalDist()
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def norm_inv_cdf(p: float) -> float:
@@ -131,15 +125,3 @@ def write_qq_csv(points: QQPoints, path) -> None:
     """Two-column CSV (theoretical, empirical) for external plotting."""
     write_rows(path, ["theoretical", "empirical"],
                zip(points.theoretical.tolist(), points.empirical.tolist()))
-
-
-def normal_es(p: float, sigma: float) -> float:
-    """Lower-tail expected shortfall of N(0, sigma^2): -sigma*phi(Phi^-1(p))/p.
-
-    Analytic benchmark for the Monte Carlo tail estimates; always negative.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return -sigma * _STD.pdf(norm_inv_cdf(p)) / p

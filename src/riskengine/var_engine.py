@@ -10,11 +10,9 @@ the filtered value, which depends on returns up to t-1). VaR values are kept
 signed: a 5% VaR is a negative return quantile.
 
 ``rolling_var`` takes the HS and FHS quantiles of all trailing windows at
-once with ``mathstat.rolling_quantile``: the same sort-and-pick rank as
-``empirical_quantile``, so each forecast has the bytes of ``hs_var`` or
-``fhs_var`` at that date, computed over strided window views that copy at
-most one bounded block (about 1 MB) at a time. ``hs_var``, ``fhs_var`` and
-``garch_normal_var`` remain the per-date oracles.
+once with ``mathstat.rolling_quantile``: each forecast has the bytes of
+``mathstat.empirical_quantile`` on its own window, computed over strided
+window views that copy at most one bounded block (about 1 MB) at a time.
 """
 
 from __future__ import annotations
@@ -24,9 +22,10 @@ from datetime import date
 
 import numpy as np
 
-from .data import ReturnSeries, window, write_rows
+from .data import ReturnSeries, write_rows
 from .errors import ConfigError, DataError
 from .garch import GarchFit
+# empirical_quantile: unused here, but perfbench/tracer.py wraps this name
 from .mathstat import empirical_quantile, norm_inv_cdf, rolling_quantile
 
 METHOD_HS = "hs"
@@ -66,25 +65,6 @@ class VarSeries:
 
     def __len__(self) -> int:
         return len(self.var)
-
-
-def hs_var(series: ReturnSeries, t: int, cfg: VarConfig) -> float:
-    """Historical-simulation VaR at index t: window quantile of raw returns."""
-    return empirical_quantile(window(series, t, cfg.window), cfg.level)
-
-
-def garch_normal_var(sigma_t: float, p: float) -> float:
-    """Conditionally normal VaR sigma_t * Phi^-1(p)."""
-    if sigma_t <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma_t}")
-    return sigma_t * norm_inv_cdf(p)
-
-
-def fhs_var(sigma_t: float, z_window, p: float) -> float:
-    """Filtered historical simulation VaR sigma_t * quantile of residuals."""
-    if sigma_t <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma_t}")
-    return sigma_t * empirical_quantile(z_window, p)
 
 
 def rolling_var(series: ReturnSeries, fit: GarchFit | None,

@@ -1,17 +1,28 @@
 """Reference implementations the tests compare the engine against.
 
-Each is the straightforward form of what the engine now computes faster,
-kept here unchanged so that a test can require the same results.
+Most are the straightforward forms of what the engine now computes faster:
+the row-by-row reader and date check, and the per-date VaR of ``hs_var``,
+``fhs_var`` and ``garch_normal_var`` that ``rolling_var`` replaced. The
+others, ``norm_cdf`` and ``normal_es``, are analytic references for the
+normal quantile and the Monte Carlo tails. Each is kept here unchanged so
+that a test can require the same results.
 """
 
 import csv
 import math
 from datetime import date
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
+from riskengine.data import ReturnSeries
 from riskengine.errors import DataError
+from riskengine.mathstat import empirical_quantile, norm_inv_cdf
+from riskengine.var_engine import VarConfig
+
+_SQRT2 = math.sqrt(2.0)
+_STD = NormalDist()
 
 
 def _parse_date(text: str, row_no: int) -> date:
@@ -89,3 +100,50 @@ def check_finite_increasing(dates, values: np.ndarray) -> None:
             raise DataError(f"duplicate date {b}")
         if a > b:
             raise DataError(f"dates not strictly increasing at {b}")
+
+
+def window(series: ReturnSeries, t: int, m: int) -> np.ndarray:
+    """The m observations strictly before index t (indices t-m .. t-1)."""
+    if m < 1:
+        raise DataError(f"window length must be positive, got {m}")
+    if t < m:
+        raise DataError(f"index {t} has no length-{m} history")
+    if t > len(series):
+        raise DataError(f"index {t} beyond series of length {len(series)}")
+    return series.returns[t - m:t].copy()
+
+
+def hs_var(series: ReturnSeries, t: int, cfg: VarConfig) -> float:
+    """Historical-simulation VaR at index t: window quantile of raw returns."""
+    return empirical_quantile(window(series, t, cfg.window), cfg.level)
+
+
+def garch_normal_var(sigma_t: float, p: float) -> float:
+    """Conditionally normal VaR sigma_t * Phi^-1(p)."""
+    if sigma_t <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma_t}")
+    return sigma_t * norm_inv_cdf(p)
+
+
+def fhs_var(sigma_t: float, z_window, p: float) -> float:
+    """Filtered historical simulation VaR sigma_t * quantile of residuals."""
+    if sigma_t <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma_t}")
+    return sigma_t * empirical_quantile(z_window, p)
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def normal_es(p: float, sigma: float) -> float:
+    """Lower-tail expected shortfall of N(0, sigma^2): -sigma*phi(Phi^-1(p))/p.
+
+    Analytic benchmark for the Monte Carlo tail estimates; always negative.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"probability must lie in (0, 1), got {p}")
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return -sigma * _STD.pdf(norm_inv_cdf(p)) / p

@@ -436,6 +436,28 @@ class TestInputFaults:
             "riskengine: config error: horizon must lie in 1..1000, "
             "got 100000000\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["var", "--level", "0.9"], "level must lie in (0, 0.5), got 0.9"),
+        (["var", "--method", "hs", "--window", "10"],
+         "window must be >= 20, got 10"),
+        (["backtest", "--level", "0.9"], "level must lie in (0, 0.5), got 0.9"),
+        (["backtest", "--window", "19"], "window must be >= 20, got 19"),
+        (["connectedness", "--order", "0"], "order must be >= 1, got 0"),
+    ], ids=["var-level", "var-window", "backtest-level", "backtest-window",
+            "connectedness-order"])
+    def test_options_checked_before_input_is_read(self, tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("the input was read or fitted")
+
+        for name in ("load_csv", "load_multi_csv", "fit_garch"):
+            monkeypatch.setattr(riskengine.cli, name, fail)
+        src = tmp_path / "in.csv"
+        src.write_text("date,return\n", encoding="utf-8")
+        assert main([argv[0], str(src), *argv[1:],
+                     "--out", str(tmp_path / "o.csv")]) == 4
+        assert capsys.readouterr().err == f"riskengine: config error: {message}\n"
+
     def test_memory_error_is_config_error(self, tmp_path, capsys,
                                           monkeypatch):
         def exhaust(args):

@@ -12,7 +12,6 @@ from riskengine.connectedness import (
     fit_var,
     gfevd,
     indices,
-    ma_coefficients,
     normalize_rows,
 )
 from riskengine.data import MultiSeries
@@ -141,47 +140,18 @@ class TestFitVar:
             fit_var(_multi(rng.standard_normal((500, 2)) * 1e-160), order=1)
 
 
-class TestMaCoefficients:
-    def _model(self, phis, sigma=None):
-        k = phis[0].shape[0]
-        return VarModel(order=len(phis), intercept=np.zeros(k),
-                        phi=tuple(phis), sigma=sigma if sigma is not None else np.eye(k))
-
+class TestGfevd:
     def test_horizon_bounds(self):
-        model = self._model([0.5 * np.eye(2)])
-        assert len(ma_coefficients(model, 1000)) == 1000
+        model = VarModel(order=1, intercept=np.zeros(2),
+                         phi=(0.5 * np.eye(2),), sigma=np.eye(2))
+        assert gfevd(model, 1000).shape == (2, 2)
+        assert connectedness_table(model, 1000).horizon == 1000
         for horizon in (0, 1001, 10 ** 8):
             with pytest.raises(ConfigError):
-                ma_coefficients(model, horizon)
+                gfevd(model, horizon)
             with pytest.raises(ConfigError):
                 connectedness_table(model, horizon)
 
-    def test_zero_phi(self):
-        model = self._model([np.zeros((3, 3))])
-        psis = ma_coefficients(model, 4)
-        assert np.array_equal(psis[0], np.eye(3))
-        for psi in psis[1:]:
-            assert np.all(psi == 0.0)
-
-    def test_var1_matrix_powers(self):
-        phi = np.array([[0.4, 0.2], [-0.1, 0.3]])
-        model = self._model([phi])
-        psis = ma_coefficients(model, 6)
-        power = np.eye(2)
-        for psi in psis:
-            assert np.allclose(psi, power, atol=1e-14)
-            power = power @ phi
-
-    def test_var2_scalar_recursion(self):
-        phi1 = np.array([[0.5]])
-        phi2 = np.array([[0.2]])
-        model = self._model([phi1, phi2])
-        psis = ma_coefficients(model, 3)
-        assert psis[1][0, 0] == pytest.approx(0.5)
-        assert psis[2][0, 0] == pytest.approx(0.5 * 0.5 + 0.2)
-
-
-class TestGfevd:
     def test_no_dynamics_diagonal_sigma(self):
         model = VarModel(order=1, intercept=np.zeros(2),
                          phi=(np.zeros((2, 2)),),
@@ -193,20 +163,26 @@ class TestGfevd:
         model = VarModel(order=1, intercept=np.zeros(2),
                          phi=(np.zeros((2, 2)),),
                          sigma=np.array([[1.0, rho], [rho, 1.0]]))
-        theta = gfevd(model, 1)
-        assert theta[0, 1] == pytest.approx(rho ** 2, abs=1e-14)
-        assert theta[1, 0] == pytest.approx(rho ** 2, abs=1e-14)
+        # with Phi = 0 the decomposition does not move with the horizon
+        for horizon in (1, 5):
+            theta = gfevd(model, horizon)
+            assert theta[0, 1] == pytest.approx(rho ** 2, abs=1e-14)
+            assert theta[1, 0] == pytest.approx(rho ** 2, abs=1e-14)
 
     def test_matches_loop_oracle(self):
+        # VAR(1) steps through matrix powers, VAR(2) and VAR(3) through the
+        # full recursion, which at h < p uses fewer than p terms
         rng = np.random.default_rng(97)
-        for _ in range(5):
-            phi = rng.uniform(-0.4, 0.4, size=(2, 2))
-            a = rng.uniform(-1, 1, size=(2, 2))
-            sigma = a @ a.T + 0.5 * np.eye(2)
-            model = VarModel(order=1, intercept=np.zeros(2), phi=(phi,),
-                             sigma=sigma)
-            assert np.allclose(gfevd(model, 10),
-                               gfevd_loops([phi], sigma, 10), atol=1e-10)
+        for order in (1, 2, 3):
+            for _ in range(5):
+                phis = [rng.uniform(-0.4, 0.4, size=(2, 2)) / order
+                        for _ in range(order)]
+                a = rng.uniform(-1, 1, size=(2, 2))
+                sigma = a @ a.T + 0.5 * np.eye(2)
+                model = VarModel(order=order, intercept=np.zeros(2),
+                                 phi=tuple(phis), sigma=sigma)
+                assert np.allclose(gfevd(model, 10),
+                                   gfevd_loops(phis, sigma, 10), atol=1e-10)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(98)

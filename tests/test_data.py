@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import window
 from riskengine import data
 from riskengine.data import (
     MultiSeries,
@@ -18,7 +19,6 @@ from riskengine.data import (
     load_csv,
     load_multi_csv,
     to_log_returns,
-    window,
     write_csv,
     write_rows,
 )

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import norm_cdf, normal_es
 from riskengine.mathstat import (
     chi2_sf,
     empirical_quantile,
-    norm_cdf,
     norm_inv_cdf,
-    normal_es,
     qq_points,
     rolling_quantile,
 )

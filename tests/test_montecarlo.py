@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import normal_es
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
 from riskengine.garch import GarchFit, GarchParams, filter, next_variance
-from riskengine.mathstat import norm_inv_cdf, normal_es
+from riskengine.mathstat import norm_inv_cdf
 from riskengine.montecarlo import (
     _BLOCK,
     McConfig,

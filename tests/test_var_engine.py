@@ -6,19 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import riskengine.var_engine as var_engine
+from oracles import fhs_var, garch_normal_var, hs_var
 from riskengine.data import ReturnSeries
 from riskengine.errors import ConfigError, DataError
 from riskengine.garch import GarchFit, GarchParams, filter
 from riskengine.mathstat import norm_inv_cdf
 from riskengine.montecarlo import simulate_garch_returns
-from riskengine.var_engine import (
-    VarConfig,
-    fhs_var,
-    garch_normal_var,
-    hs_var,
-    rolling_var,
-)
+from riskengine.var_engine import VarConfig, rolling_var
 
 
 def _series(values):
@@ -314,6 +310,7 @@ def test_rolling_var_makes_no_per_date_quantile_calls(monkeypatch):
         return scalar(xs, p)
 
     monkeypatch.setattr(var_engine, "empirical_quantile", counting)
+    monkeypatch.setattr(oracles, "empirical_quantile", counting)
     params = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)
     series = _series(simulate_garch_returns(params, 1_000, seed=65))
     fitted = _fit_for(series)
