@@ -140,6 +140,54 @@ class TestFitVar:
             fit_var(_multi(rng.standard_normal((500, 2)) * 1e-160), order=1)
 
 
+def gfevd_from_psis(psis, sigma):
+    """The decomposition summed over given MA terms, as whole-array sums."""
+    numer = sum((psi @ sigma) ** 2 for psi in psis) / np.diag(sigma)[None, :]
+    denom = sum(np.diag(psi @ sigma @ psi.T) for psi in psis)
+    return numer / denom[:, None]
+
+
+class TestMaCoefficients:
+    """The MA terms Psi_h that gfevd streams, seen through its output."""
+
+    def _model(self, phis, sigma):
+        k = phis[0].shape[0]
+        return VarModel(order=len(phis), intercept=np.zeros(k),
+                        phi=tuple(phis), sigma=sigma)
+
+    def test_zero_phi(self):
+        # Psi_0 = I and every later Psi_h is exactly 0, so longer horizons
+        # add nothing to either sum
+        sigma = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5],
+                          [-0.2, 0.5, 1.5]])
+        model = self._model([np.zeros((3, 3))], sigma)
+        one = gfevd(model, 1)
+        assert np.allclose(one, sigma ** 2 / np.outer(np.diag(sigma),
+                                                      np.diag(sigma)),
+                           atol=1e-15)
+        assert np.array_equal(gfevd(model, 4), one)
+
+    def test_var1_matrix_powers(self):
+        phi = np.array([[0.4, 0.2], [-0.1, 0.3]])
+        sigma = np.array([[1.0, 0.4], [0.4, 2.0]])
+        psis = [np.linalg.matrix_power(phi, h) for h in range(6)]
+        assert np.allclose(gfevd(self._model([phi], sigma), 6),
+                           gfevd_from_psis(psis, sigma), atol=1e-14)
+
+    def test_var2_scalar_recursion(self):
+        # series 0 is the AR(2) psi_h = 0.5 psi_{h-1} + 0.2 psi_{h-2}, and
+        # series 1 is series 0 lagged once plus its own shock, so row 1 of
+        # Psi_h is (psi_{h-1}, 0): psi_0..psi_2 = 1, 0.5, 0.5 * 0.5 + 0.2
+        phi1 = np.array([[0.5, 0.0], [1.0, 0.0]])
+        phi2 = np.array([[0.2, 0.0], [0.0, 0.0]])
+        theta = gfevd(self._model([phi1, phi2], np.eye(2)), 4)
+        s = 1.0 + 0.5 ** 2 + (0.5 * 0.5 + 0.2) ** 2
+        assert theta[0, 0] == pytest.approx(1.0)
+        assert theta[0, 1] == 0.0
+        assert theta[1, 0] == pytest.approx(s / (1.0 + s))
+        assert theta[1, 1] == pytest.approx(1.0 / (1.0 + s))
+
+
 class TestGfevd:
     def test_horizon_bounds(self):
         model = VarModel(order=1, intercept=np.zeros(2),
