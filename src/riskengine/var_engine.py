@@ -11,8 +11,11 @@ signed: a 5% VaR is a negative return quantile.
 
 ``rolling_var`` takes the HS and FHS quantiles of all trailing windows at
 once with ``mathstat.rolling_quantile``: each forecast has the bytes of
-``mathstat.empirical_quantile`` on its own window, computed over strided
-window views that copy at most one bounded block (about 1 MB) at a time.
+``mathstat.empirical_quantile`` on its own window. A block of m/4 windows
+bounds its answers by the k-th smallest of the values all of them share
+and selects among the few values below that bound; inputs holding both
+signed zeros, windows under 64 and heavily tied blocks are partitioned
+window by window instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,16 +134,60 @@ class TestEmpiricalQuantile:
             empirical_quantile([1.0], 0.0)
 
 
+def _per_window(xs, m, p):
+    return np.array([empirical_quantile(xs[t - m:t], p)
+                     for t in range(m, len(xs))])
+
+
 class TestRollingQuantile:
     def test_matches_per_window_oracle_across_blocks(self):
-        # 2**17 // 20_000 = 6 windows per block: 50 windows span 9 blocks
+        # ties and both signed zeros: partitioned 2**17 // 20_000 = 6 windows
+        # at a time, so 50 windows span 9 blocks; adding 0.0 leaves only +0.0
+        # and one block of all 50 windows (fewer than m // 4) goes through
+        # bound-then-select
         rng = np.random.default_rng(24)
         m = 20_000
-        xs = np.round(rng.normal(size=m + 50), 1)  # ties and signed zeros
-        out = rolling_quantile(xs, m, 0.05)
-        ref = np.array([empirical_quantile(xs[t - m:t], 0.05)
-                        for t in range(m, len(xs))])
-        assert out.tobytes() == ref.tobytes()
+        signed = np.round(rng.normal(size=m + 50), 1)
+        for xs in (signed, signed + 0.0):
+            out = rolling_quantile(xs, m, 0.05)
+            assert out.tobytes() == _per_window(xs, m, 0.05).tobytes()
+
+    def test_matches_per_window_oracle_across_groups(self):
+        # a group holds 2**16 // (m + m//4 - 1) blocks of m // 4 windows, so
+        # 30,010 windows span three groups and end in a shifted block; the
+        # run of equal values leaves one group too many candidates, which
+        # that group alone partitions
+        rng = np.random.default_rng(31)
+        m = 100
+        xs = rng.standard_normal(m + 30_010)
+        xs[15_000:16_000] = -3.0
+        for p in (0.01, 0.05, 0.25):
+            out = rolling_quantile(xs, m, p)
+            assert out.tobytes() == _per_window(xs, m, p).tobytes()
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.45])
+    @pytest.mark.parametrize("kind", ["continuous", "all-equal", "rounded"])
+    def test_scratch_memory_is_bounded(self, kind, p):
+        # parent design: about 1 MB; bound-then-select must stay within 4 MB
+        n, m = 200_000, 200
+        rng = np.random.default_rng(5)
+        xs = {"continuous": rng.standard_normal(n),
+              "all-equal": np.full(n, 0.25),
+              "rounded": np.round(rng.standard_normal(n), 1) + 0.0}[kind]
+        tracemalloc.start()
+        try:
+            out = rolling_quantile(xs, m, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        xs = np.linspace(-1.0, 1.0, 300)
+        xs[150] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rolling_quantile(xs, 100, 0.05)
 
     def test_errors(self):
         with pytest.raises(ValueError):

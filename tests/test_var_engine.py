@@ -223,20 +223,23 @@ class TestRollingVar:
 
 @st.composite
 def _tied_cases(draw):
-    """(values, window, level): lengths m+1..600, windows 20..n-1.
+    """(values, window, level): windows 20..599, lengths m+1..600.
 
-    Values come from a pool of ``distinct`` draws of mixed magnitude plus
-    +0.0 and -0.0, so small pools give heavy ties and signed zeros.
+    Half the windows are under 64, where every window is partitioned, and
+    half are selected by blocks. Values come from a pool of ``distinct``
+    draws of mixed magnitude plus both signed zeros, one of them or
+    neither, so small pools give heavy ties and only some cases hold both
+    zeros (which are partitioned whole).
     """
-    n = draw(st.integers(21, 600))
-    m = draw(st.integers(20, n - 1))
+    m = draw(st.integers(20, 63) | st.integers(64, 599))
+    n = draw(st.integers(m + 1, 600))
     p = draw(st.sampled_from([0.01, 0.025, 0.05, 0.1, 0.25])
              | st.floats(1e-3, 0.499))
     distinct = draw(st.integers(1, 300))
+    zeros = draw(st.sampled_from([[0.0, -0.0], [0.0], [-0.0], []]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     magnitudes = 10.0 ** rng.integers(-6, 3, size=distinct)
-    pool = np.concatenate([[0.0, -0.0],
-                           rng.standard_normal(distinct) * magnitudes])
+    pool = np.concatenate([zeros, rng.standard_normal(distinct) * magnitudes])
     return rng.choice(pool, size=n), m, p
 
 
@@ -251,6 +254,18 @@ def _hand_fit(z, seed=0) -> GarchFit:
 # p*m integral: 0.05*200 = 10 and 0.25*20 = 5
 _INTEGRAL_PM = [(np.repeat(np.linspace(-1.0, 1.0, 26), 10), 200, 0.05),
                 (np.repeat([-0.0, 0.0, -1.0, 1.0], 10), 20, 0.25)]
+_STEPS = np.random.default_rng(19).standard_normal(400)
+_SIGNED = np.linspace(1.0, 2.0, 100)
+_SIGNED[[10, 30]] = [0.0, -0.0]
+# the edges of the blocked selection, whose blocks hold m // 4 windows
+_EDGES = [(np.full(300, 0.375), 100, 0.05),  # every value a candidate
+          (_STEPS[:101], 100, 0.05),  # n = m + 1: a single window
+          (_STEPS[:230], 200, 0.05),  # 30 windows, fewer than one block
+          (_STEPS[:160], 100, 0.05),  # 60 windows, not a multiple of 25
+          (_STEPS[:300], 63, 0.05),  # below the smallest selected window
+          (_STEPS[:300], 64, 0.05),  # the smallest selected window
+          (_STEPS, 100, 0.499),  # k = 50 > m/4: partitioned
+          (_SIGNED, 64, 0.01)]  # the minimum is +0.0 and -0.0: partitioned
 
 
 class TestRollingVarProperties:
@@ -258,6 +273,14 @@ class TestRollingVarProperties:
     @given(case=_tied_cases())
     @example(case=_INTEGRAL_PM[0])
     @example(case=_INTEGRAL_PM[1])
+    @example(case=_EDGES[0])
+    @example(case=_EDGES[1])
+    @example(case=_EDGES[2])
+    @example(case=_EDGES[3])
+    @example(case=_EDGES[4])
+    @example(case=_EDGES[5])
+    @example(case=_EDGES[6])
+    @example(case=_EDGES[7])
     def test_bytes_match_per_date_oracle(self, case):
         values, m, p = case
         series, fit = _series(values), _hand_fit(values)
