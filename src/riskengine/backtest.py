@@ -19,7 +19,6 @@ from datetime import date
 
 import numpy as np
 
-from .data import write_rows
 from .errors import DataError
 from .mathstat import chi2_sf
 from .var_engine import VarSeries
@@ -169,9 +168,3 @@ def evaluate(b: BreachSeries, alpha: float) -> CoverageReport:
         lr_ind=ind_stat, p_ind=ind_p,
         lr_cc=cc_stat, p_cc=cc_p,
     )
-
-
-def write_breach_csv(b: BreachSeries, path) -> None:
-    """Date/indicator CSV, e.g. to drive breach bar charts."""
-    write_rows(path, ["date", "indicator"],
-               zip((d.isoformat() for d in b.dates), b.indicator.tolist()))

@@ -1,5 +1,12 @@
 """Command-line front end: reproducible analyses with file outputs.
 
+This module owns every output-file layout; the analytics modules only
+compute. ``qq``, ``backtest`` and ``mc`` lay out their files inline with
+``data.write_rows`` and ``data.write_json``; the VaR table, the spillover
+table and the edge list have their own writers here, ``write_var_csv``,
+``write_table_csv`` and ``write_edges_json``, which the benchmark tracer
+times by these names.
+
 Each subcommand returns the paths it wrote; ``main`` then writes one
 manifest (JSON next to the main output) recording the parsed options other
 than the input, output and seed as the configuration, the SHA-256 of the
@@ -27,21 +34,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import breaches, evaluate, write_breach_csv
+from .backtest import breaches, evaluate
 from .connectedness import (
+    ConnectednessTable,
     check_horizon,
     check_order,
     connectedness_table,
     fit_var,
-    write_edges_json,
-    write_table_csv,
 )
-from .data import load_csv, load_multi_csv, to_log_returns, write_json
+from .data import load_csv, load_multi_csv, to_log_returns, write_json, write_rows
 from .errors import ConfigError, DataError, EstimationError
 from .garch import GarchFit, fit as fit_garch
-from .mathstat import qq_points, write_qq_csv
-from .montecarlo import McConfig, run_mc, write_term_csv
-from .var_engine import METHOD_HS, METHODS, VarConfig, rolling_var, write_var_csv
+from .mathstat import qq_points
+from .montecarlo import McConfig, run_mc
+from .var_engine import METHOD_HS, METHODS, VarConfig, VarSeries, rolling_var
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +78,42 @@ def _write_manifest(args, input_sha256, outputs) -> None:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
+    })
+
+
+def write_var_csv(columns: list[VarSeries], path) -> None:
+    """Date/return/VaR table, one VaR column per method (Table-style layout)."""
+    first = columns[0]
+    values = zip(first.realized.tolist(), *(c.var.tolist() for c in columns))
+    write_rows(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
+               ([when.isoformat(), *row] for when, row in zip(first.dates, values)))
+
+
+def write_table_csv(table: ConnectednessTable, names, path) -> None:
+    """Spillover table with from/to/net margins and the total index.
+
+    Matrix cells are row-stochastic shares (each row of the N central columns
+    sums to 1); the margins and TCI are in percent.
+    """
+    names = list(names)
+    rows = [[name, *shares, margin] for name, shares, margin in
+            zip(names, table.theta_tilde.tolist(), table.from_others.tolist())]
+    rows.append(["to_others", *table.to_others.tolist(), ""])
+    rows.append(["net", *table.net.tolist(), ""])
+    rows.append(["tci", float(table.tci)] + [""] * len(names))
+    write_rows(path, ["series"] + names + ["from_others"], rows)
+
+
+def write_edges_json(table: ConnectednessTable, names, horizon: int,
+                     path) -> None:
+    """Directed spillover edges, shock source -> affected variable, and TCI."""
+    theta = table.theta_tilde.tolist()
+    write_json(path, {
+        "horizon": horizon,
+        "tci": float(table.tci),
+        "edges": [{"from": names[k], "to": names[j], "weight": theta[j][k]}
+                  for j in range(len(names)) for k in range(len(names))
+                  if j != k],
     })
 
 
@@ -108,7 +150,8 @@ def _cmd_qq(args) -> list:
             raise DataError(f"sample standard deviation must be positive "
                             f"and finite, got {sd}")
         points = qq_points(r, mean=float(np.mean(r)), sd=sd)
-    write_qq_csv(points, args.out)
+    write_rows(args.out, ["theoretical", "empirical"],
+               zip(points.theoretical.tolist(), points.empirical.tolist()))
     return [args.out]
 
 
@@ -134,7 +177,8 @@ def _cmd_backtest(args) -> list:
     write_json(args.out, payload)
     out = Path(args.out)
     breach_path = out.with_name(out.stem + ".breaches.csv")
-    write_breach_csv(b, breach_path)
+    write_rows(breach_path, ["date", "indicator"],
+               zip((d.isoformat() for d in b.dates), b.indicator.tolist()))
     return [args.out, breach_path]
 
 
@@ -142,7 +186,8 @@ def _cmd_mc(args) -> list:
     cfg = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
                    level=args.level, innovation=args.innovation)
     ts = run_mc(_fitted(_load_returns(args)), cfg)
-    write_term_csv(ts, args.out)
+    write_rows(args.out, ["horizon", "var", "es"],
+               zip(range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()))
     return [args.out]
 
 
@@ -154,7 +199,7 @@ def _cmd_connectedness(args) -> list:
     table = connectedness_table(model, horizon=args.horizon)
     write_table_csv(table, series.names, args.out)
     edges_path = Path(args.out).with_suffix(".edges.json")
-    write_edges_json(table, series.names, edges_path)
+    write_edges_json(table, series.names, args.horizon, edges_path)
     return [args.out, edges_path]
 
 

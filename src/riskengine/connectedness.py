@@ -7,6 +7,9 @@ row-normalized spillover table -> total / directional / net indices.
 Orientation of the directional measures: the (j, k) table entry is the share
 of j's forecast-error variance attributable to shocks in k, so "to others"
 for j sums its column (off-diagonal) and "from others" sums its row.
+
+Nothing here writes a file: the table CSV and the edge-list JSON are laid
+out in ``cli.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiSeries, write_json, write_rows
+from .data import MultiSeries
 from .errors import ConfigError, DataError, EstimationError
 
 # longest forecast horizon: every step builds one Psi_h
@@ -55,7 +58,6 @@ class ConnectednessTable:
     to_others: np.ndarray
     from_others: np.ndarray
     net: np.ndarray
-    horizon: int
 
 
 def fit_var(series: MultiSeries, order: int) -> VarModel:
@@ -179,7 +181,7 @@ def normalize_rows(theta: np.ndarray) -> np.ndarray:
     return theta / sums[:, None]
 
 
-def indices(theta_tilde: np.ndarray, horizon: int = 0) -> ConnectednessTable:
+def indices(theta_tilde: np.ndarray) -> ConnectednessTable:
     """Total, directional and net connectedness of a row-stochastic table."""
     theta_tilde = np.asarray(theta_tilde, dtype=float)
     n = theta_tilde.shape[0]
@@ -195,50 +197,9 @@ def indices(theta_tilde: np.ndarray, horizon: int = 0) -> ConnectednessTable:
         to_others=to_others,
         from_others=from_others,
         net=to_others - from_others,
-        horizon=horizon,
     )
 
 
 def connectedness_table(model: VarModel, horizon: int = 10) -> ConnectednessTable:
     """GFEVD -> row normalization -> indices, the full pipeline."""
-    return indices(normalize_rows(gfevd(model, horizon)), horizon=horizon)
-
-
-def edge_list(table: ConnectednessTable, names) -> list[dict]:
-    """Directed spillover edges: shock source -> affected variable."""
-    names = list(names)
-    edges = []
-    n = table.theta_tilde.shape[0]
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                edges.append({
-                    "from": names[k],
-                    "to": names[j],
-                    "weight": float(table.theta_tilde[j, k]),
-                })
-    return edges
-
-
-def write_table_csv(table: ConnectednessTable, names, path) -> None:
-    """Spillover table with from/to/net margins and the total index.
-
-    Matrix cells are row-stochastic shares (each row of the N central columns
-    sums to 1); the margins and TCI are in percent.
-    """
-    names = list(names)
-    rows = [[name, *shares, margin] for name, shares, margin in
-            zip(names, table.theta_tilde.tolist(), table.from_others.tolist())]
-    rows.append(["to_others", *table.to_others.tolist(), ""])
-    rows.append(["net", *table.net.tolist(), ""])
-    rows.append(["tci", float(table.tci)] + [""] * len(names))
-    write_rows(path, ["series"] + names + ["from_others"], rows)
-
-
-def write_edges_json(table: ConnectednessTable, names, path) -> None:
-    payload = {
-        "horizon": table.horizon,
-        "tci": float(table.tci),
-        "edges": edge_list(table, names),
-    }
-    write_json(path, payload)
+    return indices(normalize_rows(gfevd(model, horizon)))

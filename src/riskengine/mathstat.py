@@ -1,6 +1,6 @@
 """Distribution primitives used across the engine.
 
-Everything here is a pure function. The normal quantile comes from the
+Everything here is a pure function with no file I/O. The normal quantile comes from the
 standard library's ``statistics.NormalDist``. ``tail_rank`` owns the
 sort-and-pick convention (k-th smallest with k = ceil(p*n), no interpolation)
 that the VaR estimators and Monte Carlo tail statistics share, so changing it
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-
-from .data import write_rows
 
 _STD = NormalDist()
 
@@ -174,9 +172,6 @@ class QQPoints:
     theoretical: np.ndarray
     empirical: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.theoretical)
-
 
 def qq_points(sample, mean: float, sd: float) -> QQPoints:
     """Quantile-quantile points of a sample against N(mean, sd^2).
@@ -193,9 +188,3 @@ def qq_points(sample, mean: float, sd: float) -> QQPoints:
     probs = (np.arange(1, n + 1) - 0.5) / n
     theo = np.array([mean + sd * norm_inv_cdf(p) for p in probs])
     return QQPoints(theoretical=theo, empirical=values)
-
-
-def write_qq_csv(points: QQPoints, path) -> None:
-    """Two-column CSV (theoretical, empirical) for external plotting."""
-    write_rows(path, ["theoretical", "empirical"],
-               zip(points.theoretical.tolist(), points.empirical.tolist()))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import write_rows
 from .errors import ConfigError, DataError, TailTooSmallError
 from .garch import GarchFit, GarchParams, next_variance
 from .mathstat import tail_rank
@@ -173,9 +172,3 @@ def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
         r[t] = math.sqrt(v) * z[t]
         v = next_variance(params, r[t], v)
     return r
-
-
-def write_term_csv(ts: TermStructure, path) -> None:
-    """horizon/var/es rows; values are signed cumulative-return quantiles."""
-    write_rows(path, ["horizon", "var", "es"],
-               zip(range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()))

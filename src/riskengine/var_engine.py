@@ -25,7 +25,7 @@ from datetime import date
 
 import numpy as np
 
-from .data import ReturnSeries, write_rows
+from .data import ReturnSeries
 from .errors import ConfigError, DataError
 from .garch import GarchFit
 # empirical_quantile: unused here, but perfbench/tracer.py wraps this name
@@ -108,16 +108,3 @@ def rolling_var(series: ReturnSeries, fit: GarchFit | None,
         method=cfg.method,
         level=cfg.level,
     )
-
-
-def write_var_csv(columns: list[VarSeries], path) -> None:
-    """Date/return/VaR table, one VaR column per method (Table-style layout)."""
-    if not columns:
-        raise ValueError("no VaR series to write")
-    first = columns[0]
-    for other in columns[1:]:
-        if other.dates != first.dates:
-            raise DataError("VaR series do not share a date index")
-    values = zip(first.realized.tolist(), *(c.var.tolist() for c in columns))
-    write_rows(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
-               ([when.isoformat(), *row] for when, row in zip(first.dates, values)))

@@ -223,7 +223,7 @@ def test_criterion_09_gfevd_oracles():
 
         tilde = normalize_rows(theta)
         assert np.max(np.abs(tilde.sum(axis=1) - 1.0)) <= 1e-10
-        table = indices(tilde, horizon)
+        table = indices(tilde)
         assert abs(float(table.net.sum())) <= 1e-8
     _ok(9, "GFEVD closed form, loop oracle, row sums, net zero-sum")
 

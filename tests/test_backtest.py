@@ -16,7 +16,6 @@ from riskengine.backtest import (
     lr_independence,
     lr_unconditional,
     transition_counts,
-    write_breach_csv,
 )
 from riskengine.errors import DataError
 from riskengine.mathstat import chi2_sf
@@ -291,16 +290,3 @@ def test_statistics_are_valid_or_null_when_a_state_is_never_left(flags, alpha):
         if stat is not None:
             assert stat >= 0.0
             assert 0.0 <= p <= 1.0
-
-
-class TestBreachCsv:
-    def test_round_trip_frequency(self, tmp_path):
-        rng = np.random.default_rng(79)
-        flags = (rng.random(300) < 0.05).astype(int)
-        b = _breach(flags)
-        path = tmp_path / "breaches.csv"
-        write_breach_csv(b, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "date,indicator"
-        parsed = [int(line.split(",")[1]) for line in lines[1:]]
-        assert parsed == flags.tolist()

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -19,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskengine
+from riskengine.backtest import breaches
 from riskengine.cli import main
+from riskengine.data import load_csv
 from riskengine.garch import GarchParams
 from riskengine.montecarlo import simulate_garch_returns
+from riskengine.var_engine import VarConfig, rolling_var
 
 PARAMS = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)
 
@@ -51,6 +55,16 @@ def _multi_csv(tmp_path, n=10_000, seed=2, name="multi.csv", scale=1.0):
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_only_cli_binds_writers():
+    # every output-file layout lives in cli.py; the analytics modules compute
+    bound = [f"{name}.{attr}" for name in ("garch", "mathstat", "var_engine",
+                                           "backtest", "montecarlo",
+                                           "connectedness")
+             for attr in vars(importlib.import_module(f"riskengine.{name}"))
+             if attr.startswith("write_")]
+    assert bound == []
 
 
 def test_fit_runs_without_importing_scipy(tmp_path):
@@ -173,6 +187,22 @@ class TestBacktest:
         main(["backtest", str(src), "--method", "fhs", "--out", str(bt_out)])
         assert len(_read_csv(tmp_path / "report.breaches.csv")) == len(_read_csv(var_out))
 
+    def test_breach_csv_round_trip_frequency(self, tmp_path):
+        # an --out without a suffix still gets <stem>.breaches.csv beside it
+        src, _ = _returns_csv(tmp_path, seed=79)
+        out = tmp_path / "report"
+        assert main(["backtest", str(src), "--method", "hs",
+                     "--out", str(out)]) == 0
+        expected = breaches(rolling_var(load_csv(src), None,
+                                        VarConfig(method="hs")))
+        lines = (tmp_path / "report.breaches.csv").read_text().splitlines()
+        assert lines[0] == "date,indicator"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [d for d, _ in rows] == [d.isoformat() for d in expected.dates]
+        flags = [int(flag) for _, flag in rows]
+        assert flags == expected.indicator.tolist()
+        assert sum(flags) / len(flags) == json.loads(out.read_text())["frequency"]
+
 
 class TestMc:
     def test_deterministic_same_seed(self, tmp_path):
@@ -253,6 +283,15 @@ class TestConnectedness:
         for edge in edges:
             assert edge["weight"] == pytest.approx(
                 theta[(edge["to"], edge["from"])], abs=1e-15)
+
+    @pytest.mark.parametrize("horizon", [1, 1000])
+    def test_edges_json_records_the_horizon(self, tmp_path, horizon):
+        src = _multi_csv(tmp_path, n=500)
+        out = tmp_path / "table.csv"
+        assert main(["connectedness", str(src), "--horizon", str(horizon),
+                     "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "table.edges.json").read_text())
+        assert payload["horizon"] == horizon
 
     def test_single_column_is_data_error(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -1,3 +1,4 @@
+import json
 from datetime import date
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskengine.cli import write_edges_json
 from riskengine.connectedness import (
     VarModel,
     connectedness_table,
-    edge_list,
     fit_var,
     gfevd,
     indices,
@@ -193,7 +194,6 @@ class TestGfevd:
         model = VarModel(order=1, intercept=np.zeros(2),
                          phi=(0.5 * np.eye(2),), sigma=np.eye(2))
         assert gfevd(model, 1000).shape == (2, 2)
-        assert connectedness_table(model, 1000).horizon == 1000
         for horizon in (0, 1001, 10 ** 8):
             with pytest.raises(ConfigError):
                 gfevd(model, horizon)
@@ -319,14 +319,16 @@ class TestPipeline:
             assert 0.0 <= table.tci <= 100.0 * (n_vars - 1) / n_vars + 1e-9
             assert abs(float(table.net.sum())) <= 1e-8
 
-    def test_edge_list_matches_off_diagonal(self):
+    def test_edge_list_matches_off_diagonal(self, tmp_path):
         phi = np.array([[0.5, 0.1], [0.0, 0.3]])
         y = simulate_var1(phi, np.linalg.cholesky(
             np.array([[1.0, 0.3], [0.3, 1.0]])), 5_000, seed=102)
         multi = _multi(y, names=("alpha", "bravo"))
         model = fit_var(multi, order=1)
         table = connectedness_table(model, horizon=10)
-        edges = edge_list(table, multi.names)
+        path = tmp_path / "table.edges.json"
+        write_edges_json(table, multi.names, 10, path)
+        edges = json.loads(path.read_text())["edges"]
         assert len(edges) == 2
         by_pair = {(e["from"], e["to"]): e["weight"] for e in edges}
         assert by_pair[("bravo", "alpha")] == table.theta_tilde[0, 1]

@@ -264,7 +264,7 @@ class TestQqPoints:
         points = qq_points(rng.normal(size=500), 0.1, 2.0)
         assert np.all(np.diff(points.theoretical) >= 0)
         assert np.all(np.diff(points.empirical) >= 0)
-        assert len(points) == 500
+        assert len(points.theoretical) == 500
 
     def test_bad_sd(self):
         with pytest.raises(ValueError):
