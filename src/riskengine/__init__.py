@@ -1,6 +1,6 @@
 """Market-risk engine: VaR/ES estimation, backtesting and connectedness."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .backtest import (
     BreachSeries,

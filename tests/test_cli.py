@@ -244,6 +244,21 @@ class TestMc:
                      "--seed", "1", "--out", str(out)])
         assert code == 5
 
+    def test_tail_too_small_checked_before_input_is_read(self, tmp_path,
+                                                         capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the input was read or fitted")
+
+        for name in ("load_csv", "fit_garch"):
+            monkeypatch.setattr(riskengine.cli, name, fail)
+        src = tmp_path / "in.csv"
+        src.write_text("date,return\n", encoding="utf-8")
+        assert main(["mc", str(src), "--paths", "100", "--level", "0.01",
+                     "--seed", "1", "--out", str(tmp_path / "mc.csv")]) == 5
+        assert capsys.readouterr().err == (
+            "riskengine: infeasible: 100 paths at level 0.01 leave fewer "
+            "than 5 tail paths\n")
+
     def test_csv_layout(self, tmp_path):
         src, _ = _returns_csv(tmp_path)
         out = tmp_path / "mc.csv"

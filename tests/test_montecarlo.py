@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import normal_es
+from riskengine import montecarlo
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
 from riskengine.garch import GarchFit, GarchParams, filter, next_variance
 from riskengine.mathstat import norm_inv_cdf
@@ -36,7 +38,7 @@ IID = GarchParams(omega=1e-4, alpha=0.0, beta=0.0)
 
 def one_shot_cumulative(fit, cfg):
     """Draw the whole innovation matrix, then run the row-major recursion."""
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     shape = (cfg.n_paths, cfg.horizon)
     if cfg.innovation == "normal":
         innov = rng.standard_normal(shape)
@@ -56,6 +58,15 @@ def one_shot_cumulative(fit, cfg):
     return out
 
 
+def _bytes(ts):
+    return ts.var.tobytes() + ts.es.tobytes()
+
+
+def _matrix_oracle(fit, cfg):
+    """run_mc's answer from the whole path matrix."""
+    return term_structure(simulate_cumulative(fit, cfg), cfg.level)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = McConfig(seed=1)
@@ -72,6 +83,11 @@ class TestConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             McConfig(**base)
+
+    def test_tail_too_small_is_refused_up_front(self):
+        with pytest.raises(TailTooSmallError):
+            McConfig(seed=1, n_paths=100, level=0.01)
+        assert McConfig(seed=1, n_paths=500, level=0.01).n_paths == 500
 
     def test_largest_accepted_size(self):
         # exactly 2**28 cells, checked from the shape alone (nothing allocated)
@@ -105,15 +121,15 @@ class TestSimulateCumulative:
 
     def test_same_seed_same_matrix(self):
         fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
-        cfg = McConfig(seed=7, n_paths=300, horizon=5)
+        cfg = McConfig(seed=7, n_paths=300, horizon=5, level=0.05)
         a = simulate_cumulative(fit, cfg)
         b = simulate_cumulative(fit, cfg)
         assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
-        a = simulate_cumulative(fit, McConfig(seed=7, n_paths=300))
-        b = simulate_cumulative(fit, McConfig(seed=8, n_paths=300))
+        a = simulate_cumulative(fit, McConfig(seed=7, n_paths=300, level=0.05))
+        b = simulate_cumulative(fit, McConfig(seed=8, n_paths=300, level=0.05))
         assert not np.array_equal(a, b)
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
@@ -158,7 +174,8 @@ class TestSimulateCumulative:
         # sigma_{T+1} * z
         params = GarchParams(omega=1e-4, alpha=0.05, beta=0.9)
         fit = _fit(params, z_pool=np.array([1.0]))
-        cfg = McConfig(seed=10, n_paths=200, horizon=1, innovation="fhs")
+        cfg = McConfig(seed=10, n_paths=200, horizon=1, level=0.05,
+                       innovation="fhs")
         cum = simulate_cumulative(fit, cfg)
         r_last = fit.sigma[-1] * fit.z[-1]
         v_next = (params.omega + params.alpha * r_last ** 2
@@ -204,6 +221,48 @@ class TestTermStructure:
     def test_tail_too_small(self):
         with pytest.raises(TailTooSmallError):
             term_structure(np.zeros((200, 3)), 0.01)
+
+    def test_row_permutation_gives_same_bytes(self):
+        # ES is a correctly rounded sum over the tail, so the order the
+        # paths come in (and the order a partition leaves them in) is moot
+        rng = np.random.default_rng(84)
+        cum = rng.standard_normal((5000, 4)).cumsum(axis=1)
+        expected = _bytes(term_structure(cum, 0.03))
+        for _ in range(5):
+            perm = rng.permutation(len(cum))
+            assert _bytes(term_structure(cum[perm], 0.03)) == expected
+
+
+class TestStreamedTail:
+    @pytest.mark.parametrize("kind", ["normal", "fhs"])
+    @pytest.mark.parametrize("horizon, level, pool", [
+        (10, 0.01, None),
+        (1, 0.01, None),
+        (10, 0.45, None),  # k = 18,432 > _BLOCK
+        (4, 0.05, np.zeros(300)),
+        (5, 0.05, np.tile([-1.0, 0.5, 2.0], 100)),  # heavy ties
+    ], ids=["h10", "h1", "k-above-block", "zero-pool", "three-value-pool"])
+    def test_matches_matrix_oracle(self, kind, horizon, level, pool):
+        # 2.5 blocks: two full blocks and a partial one
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9), z_pool=pool)
+        cfg = McConfig(seed=20, n_paths=5 * _BLOCK // 2, horizon=horizon,
+                       level=level, innovation=kind)
+        assert _bytes(run_mc(fit, cfg)) == _bytes(_matrix_oracle(fit, cfg))
+
+    @pytest.mark.parametrize("kind", ["normal", "fhs"])
+    def test_peak_allocation_is_bounded(self, kind):
+        # the [horizon, n_paths] matrix alone would be 32 MB
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=21, n_paths=400_000, horizon=10, level=0.01,
+                       innovation=kind)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_mc(fit, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6
 
 
 class TestRunMc:
@@ -314,6 +373,15 @@ class TestRunMcProperties:
         assert ts.horizon == cfg.horizon
         assert np.all(np.isfinite(ts.var)) and np.all(np.isfinite(ts.es))
         assert np.all(ts.es <= ts.var)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_fits(), _mc_configs(), st.sampled_from([100, 333, _BLOCK]))
+    def test_streamed_tail_matches_matrix_oracle(self, fit, cfg, block):
+        # small blocks make the fold cross many block edges; the block size
+        # does not change the paths
+        with mock.patch.object(montecarlo, "_BLOCK", block):
+            streamed = run_mc(fit, cfg)
+        assert _bytes(streamed) == _bytes(_matrix_oracle(fit, cfg))
 
 
 class TestGarchSimulator:
