@@ -14,7 +14,7 @@ answer than "passed".
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -78,9 +78,6 @@ class CoverageReport:
     p_ind: float | None
     lr_cc: float | None
     p_cc: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def breaches(var_series: VarSeries) -> BreachSeries:

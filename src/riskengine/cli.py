@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +171,7 @@ def _cmd_backtest(args) -> list:
     series = _load_returns(args)
     var_series = rolling_var(series, _fit_for(series, [cfg.method]), cfg)
     b = breaches(var_series)
-    report = evaluate(b, args.level)
-    payload = report.to_dict()
+    payload = asdict(evaluate(b, args.level))
     payload["method"] = args.method
     payload["level"] = args.level
     write_json(args.out, payload)

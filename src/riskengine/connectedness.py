@@ -99,9 +99,11 @@ def fit_var(series: MultiSeries, order: int) -> VarModel:
     x = np.ones((rows, 1 + n * order))
     x[:, 1:] = (lags - mean) / sd
     target = y[order:]
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+    # lstsq counts singular values above eps * max(M, N) * the largest, as
+    # matrix_rank does, from the one SVD it solves by
+    coef, _, rank, _ = np.linalg.lstsq(x, target, rcond=None)
+    if rank < x.shape[1]:
         raise EstimationError("rank-deficient regressor matrix")
-    coef, _, _, _ = np.linalg.lstsq(x, target, rcond=None)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         resid = target - x @ coef
         sigma = resid.T @ resid / rows

@@ -93,17 +93,6 @@ class GarchFit:
     def n_obs(self) -> int:
         return len(self.sigma)
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.params.omega,
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "loglik": self.loglik,
-            "converged": self.converged,
-            "nfev": self.nfev,
-            "n_obs": self.n_obs,
-        }
-
 
 def _as_returns(returns) -> np.ndarray:
     if isinstance(returns, ReturnSeries):
@@ -149,10 +138,10 @@ def _variance_path(r2: np.ndarray, v0: float, params: GarchParams) -> np.ndarray
     return sigma2
 
 
-def _loglik(r2: np.ndarray, v0: float, params: GarchParams) -> float:
-    sigma2 = _variance_path(r2, v0, params)
+def _gauss_loglik(sigma2: np.ndarray, ratio: np.ndarray) -> float:
+    """Gaussian log-likelihood from the variances and ratio = r**2 / sigma2."""
     return float(
-        -0.5 * (len(r2) * _LOG_2PI + np.sum(np.log(sigma2)) + np.sum(r2 / sigma2))
+        -0.5 * (len(sigma2) * _LOG_2PI + np.sum(np.log(sigma2)) + np.sum(ratio))
     )
 
 
@@ -170,7 +159,9 @@ def loglik(returns, params: GarchParams) -> float:
     r = _as_returns(returns)
     if len(r) < 10:
         raise DataError(f"need at least 10 observations, got {len(r)}")
-    return _loglik(r * r, _start_variance(r, params), params)
+    r2 = r * r
+    sigma2 = _variance_path(r2, _start_variance(r, params), params)
+    return _gauss_loglik(sigma2, r2 / sigma2)
 
 
 def next_variance(params: GarchParams, r_t: float, sigma2_t: float) -> float:
@@ -201,7 +192,7 @@ class _Likelihood:
         x2 = self.x2
         sigma2 = _variance_path(x2, self.v0, GarchParams(omega, alpha, beta))
         ratio = x2 / sigma2
-        value = -0.5 * (len(x2) * _LOG_2PI + np.sum(np.log(sigma2)) + np.sum(ratio))
+        value = _gauss_loglik(sigma2, ratio)
         # d sigma2[t] / d(omega, alpha, beta): 0 at t = 0, then the recursion
         # with input (1, x2[t-1], sigma2[t-1]) and coefficient beta; the
         # omega row is (1 - beta^t) / (1 - beta), scanned with the others
@@ -215,7 +206,7 @@ class _Likelihood:
         q = s * (0.5 * w)
         grad = q.sum(axis=1)
         if not hessian:
-            return float(value), grad, q
+            return value, grad, q
         # second derivatives of sigma2: only those with beta are nonzero,
         # and they follow the recursion with input d sigma2[t-1] / d theta
         # (twice that for beta, beta)
@@ -229,7 +220,7 @@ class _Likelihood:
         cross = 0.5 * (s2 @ w)
         hess[2, :] += cross
         hess[:2, 2] += cross[:2]
-        return float(value), grad, hess
+        return value, grad, hess
 
 
 def _face_step(theta, grad, b, exact: bool):
@@ -421,13 +412,15 @@ def fit(returns) -> GarchFit:
     _, gain, (omega, alpha, beta) = best
     params = GarchParams(omega=float(omega) * s * s, alpha=float(alpha),
                          beta=float(beta))
-    value = _loglik(r * r, sample_var, params)
-    sigma, z = filter(r, params)
+    # one variance path in the units of r gives loglik, sigma and z
+    r2 = r * r
+    sigma2 = _variance_path(r2, sample_var, params)
+    sigma = np.sqrt(sigma2)
     return GarchFit(
         params=params,
         sigma=sigma,
-        z=z,
-        loglik=value,
+        z=r / sigma,
+        loglik=_gauss_loglik(sigma2, r2 / sigma2),
         converged=gain <= _GAIN_TOL,
-        nfev=lik.nfev + 1,  # and the loglik above, in the units of r
+        nfev=lik.nfev + 1,  # and that final path
     )

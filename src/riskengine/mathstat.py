@@ -70,9 +70,9 @@ def rolling_quantile(xs, m: int, p: float) -> np.ndarray:
 
     Finite values have one bit pattern each, except the two zeros, so any
     exact selection gives the bytes of ``np.partition`` unless +0.0 and
-    -0.0 both occur. Such inputs, windows with m < 64, and each group of
-    blocks in which one block has more than m/4 candidates (always so when
-    k > m/4) are partitioned whole, window by window. Scratch memory stays
+    -0.0 both occur. Such inputs, and each group of blocks in which one
+    block has more than m/4 candidates (always so when k > m/4), are
+    partitioned whole, window by window. Scratch memory stays
     at a few MB whatever the length; non-finite values raise ValueError.
     """
     values = np.asarray(xs, dtype=float)
@@ -87,7 +87,7 @@ def rolling_quantile(xs, m: int, p: float) -> np.ndarray:
     total = values.size - m
     out = np.empty(total)
     zeros = np.signbit(values[values == 0.0])
-    if m < 64 or 4 * k > m or 0 < zeros.sum() < zeros.size:
+    if 4 * k > m or 0 < zeros.sum() < zeros.size:
         _partition_windows(values, m, k, 0, total, out)
         return out
     width = min(m // 4, total)

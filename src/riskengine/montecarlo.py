@@ -85,24 +85,10 @@ class TermStructure:
     es: np.ndarray
     level: float
     n_paths: int
-    config: McConfig | None = None
 
     @property
     def horizon(self) -> int:
         return len(self.var)
-
-    def to_dict(self) -> dict:
-        out = {
-            "level": self.level,
-            "n_paths": self.n_paths,
-            "horizon": self.horizon,
-            "var": [float(v) for v in self.var],
-            "es": [float(e) for e in self.es],
-        }
-        if self.config is not None:
-            out["seed"] = self.config.seed
-            out["innovation"] = self.config.innovation
-        return out
 
 
 def _blocks(fit: GarchFit, cfg: McConfig):
@@ -181,7 +167,7 @@ def term_structure(cum: np.ndarray, p: float) -> TermStructure:
 
 
 def run_mc(fit: GarchFit, cfg: McConfig) -> TermStructure:
-    """Simulate and reduce block by block, echoing the config.
+    """Simulate and reduce block by block.
 
     Gives the bytes of ``term_structure(simulate_cumulative(fit, cfg),
     cfg.level)`` without the path matrix. Per horizon it keeps the values at
@@ -207,8 +193,7 @@ def run_mc(fit: GarchFit, cfg: McConfig) -> TermStructure:
     es = np.empty(cfg.horizon)
     for h in range(cfg.horizon):
         var[h], es[h] = _tail(np.concatenate(kept[h]), k)
-    return TermStructure(var=var, es=es, level=cfg.level, n_paths=cfg.n_paths,
-                         config=cfg)
+    return TermStructure(var=var, es=es, level=cfg.level, n_paths=cfg.n_paths)
 
 
 def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,

@@ -14,8 +14,8 @@ once with ``mathstat.rolling_quantile``: each forecast has the bytes of
 ``mathstat.empirical_quantile`` on its own window. A block of m/4 windows
 bounds its answers by the k-th smallest of the values all of them share
 and selects among the few values below that bound; inputs holding both
-signed zeros, windows under 64 and heavily tied blocks are partitioned
-window by window instead.
+signed zeros, and blocks with more than m/4 values below their bound, are
+partitioned window by window instead.
 """
 
 from __future__ import annotations

@@ -58,13 +58,18 @@ def _read_csv(path):
 
 
 def test_only_cli_binds_writers():
-    # every output-file layout lives in cli.py; the analytics modules compute
-    bound = [f"{name}.{attr}" for name in ("garch", "mathstat", "var_engine",
-                                           "backtest", "montecarlo",
-                                           "connectedness")
-             for attr in vars(importlib.import_module(f"riskengine.{name}"))
-             if attr.startswith("write_")]
+    # every output-file and JSON layout lives in cli.py; the analytics
+    # modules compute
+    modules = [importlib.import_module(f"riskengine.{name}")
+               for name in ("garch", "mathstat", "var_engine", "backtest",
+                            "montecarlo", "connectedness")]
+    bound = [f"{module.__name__}.{attr}" for module in modules
+             for attr in vars(module) if attr.startswith("write_")]
     assert bound == []
+    layouts = [f"{module.__name__}.{attr}.to_dict" for module in modules
+               for attr, value in vars(module).items()
+               if isinstance(value, type) and "to_dict" in vars(value)]
+    assert layouts == []
 
 
 def test_fit_runs_without_importing_scipy(tmp_path):
@@ -171,9 +176,9 @@ class TestBacktest:
                      "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        for key in ("frequency", "lr_uc", "lr_ind", "lr_cc", "p_uc", "p_ind",
-                    "p_cc", "breach_count"):
-            assert key in report
+        assert set(report) == {"breach_count", "n_obs", "frequency", "lr_uc",
+                               "p_uc", "lr_ind", "p_ind", "lr_cc", "p_cc",
+                               "method", "level"}
         breach_rows = _read_csv(tmp_path / "report.breaches.csv")[1:]
         assert len(breach_rows) == len(values) - 200
         freq = sum(int(r[1]) for r in breach_rows) / len(breach_rows)

@@ -87,6 +87,13 @@ class TestFitVar:
         with pytest.raises(EstimationError):
             fit_var(_multi(y), order=1)
 
+    def test_collinear_columns_rejected(self):
+        # no lag has zero sd, but one is an affine map of another
+        rng = np.random.default_rng(95)
+        a = rng.standard_normal(500)
+        with pytest.raises(EstimationError, match="rank-deficient"):
+            fit_var(_multi(np.column_stack([a, 2.0 * a + 1.0])), order=1)
+
     def test_sample_too_short(self):
         rng = np.random.default_rng(94)
         y = rng.standard_normal((30, 2))

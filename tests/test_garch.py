@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -302,16 +301,13 @@ class TestFit:
         assert np.array_equal(fitted.sigma, sigma)
         assert np.array_equal(fitted.z, z)
 
-    def test_json_round_trip(self):
+    def test_fit_summary(self):
         truth = GarchParams(omega=1e-5, alpha=0.05, beta=0.90)
         r = simulate_garch_returns(truth, 1_000, seed=4)
         fitted = fit(r)
-        payload = json.loads(json.dumps(fitted.to_dict()))
-        assert set(payload) == {"omega", "alpha", "beta", "loglik", "converged",
-                                "nfev", "n_obs"}
-        assert payload["n_obs"] == 1_000
-        assert payload["converged"] is True
-        assert payload["nfev"] == fitted.nfev > 0
+        assert fitted.n_obs == 1_000
+        assert fitted.converged is True
+        assert fitted.nfev > 0
 
 
 _GARCH = GarchParams(omega=2e-6, alpha=0.10, beta=0.85)

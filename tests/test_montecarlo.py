@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -318,18 +317,6 @@ class TestRunMc:
             assert ts2.var[h] == pytest.approx(math.sqrt(2) * ts1.var[h], rel=0.03)
             assert ts2.es[h] == pytest.approx(math.sqrt(2) * ts1.es[h], rel=0.03)
 
-    def test_config_echoed(self):
-        fit = _fit(IID)
-        cfg = McConfig(seed=15, n_paths=2000, horizon=2, level=0.02)
-        ts = run_mc(fit, cfg)
-        assert ts.config == cfg
-        payload = json.loads(json.dumps(ts.to_dict()))
-        assert payload["seed"] == 15
-        assert payload["innovation"] == "normal"
-        assert payload["n_paths"] == 2000
-        assert len(payload["var"]) == 2
-        assert payload["es"] == ts.es.tolist()
-
 
 @st.composite
 def _fits(draw):
@@ -370,7 +357,8 @@ class TestRunMcProperties:
     @given(_fits(), _mc_configs())
     def test_es_never_above_var(self, fit, cfg):
         ts = run_mc(fit, cfg)
-        assert ts.horizon == cfg.horizon
+        assert (ts.horizon, ts.n_paths, ts.level) == (cfg.horizon, cfg.n_paths,
+                                                      cfg.level)
         assert np.all(np.isfinite(ts.var)) and np.all(np.isfinite(ts.es))
         assert np.all(ts.es <= ts.var)
 

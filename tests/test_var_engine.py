@@ -225,8 +225,8 @@ class TestRollingVar:
 def _tied_cases(draw):
     """(values, window, level): windows 20..599, lengths m+1..600.
 
-    Half the windows are under 64, where every window is partitioned, and
-    half are selected by blocks. Values come from a pool of ``distinct``
+    Half the windows are under 64, in blocks of at most 15 windows, and
+    half are 64 or wider. Values come from a pool of ``distinct``
     draws of mixed magnitude plus both signed zeros, one of them or
     neither, so small pools give heavy ties and only some cases hold both
     zeros (which are partitioned whole).
@@ -262,8 +262,8 @@ _EDGES = [(np.full(300, 0.375), 100, 0.05),  # every value a candidate
           (_STEPS[:101], 100, 0.05),  # n = m + 1: a single window
           (_STEPS[:230], 200, 0.05),  # 30 windows, fewer than one block
           (_STEPS[:160], 100, 0.05),  # 60 windows, not a multiple of 25
-          (_STEPS[:300], 63, 0.05),  # below the smallest selected window
-          (_STEPS[:300], 64, 0.05),  # the smallest selected window
+          (_STEPS[:300], 20, 0.05),  # the smallest window: blocks of 5
+          (_STEPS[:300], 20, 0.3),  # k = 6 > m/4 at that window: partitioned
           (_STEPS, 100, 0.499),  # k = 50 > m/4: partitioned
           (_SIGNED, 64, 0.01)]  # the minimum is +0.0 and -0.0: partitioned
 
