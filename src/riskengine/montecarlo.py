@@ -8,10 +8,11 @@ residuals.
 
 Determinism contract: innovations come from ``np.random.SFC64`` seeded with
 the seed, in one canonical order (path by path, each path's steps in turn).
-Paths are simulated in row blocks on one thread; each block draws its
-innovations in that order and runs its recursion before the next block
-draws, so the output is bit-identical for a given (fit, config) whatever the
-block size. ``RISK_THREADS`` is accepted and ignored.
+Paths are simulated in row blocks. With more than one block, one helper
+thread draws block i+1 while the calling thread runs the recursion of block
+i; only the helper touches the generator, and it draws the blocks in order,
+so the output is bit-identical for a given (fit, config) whatever the block
+size or thread timing. ``RISK_THREADS`` is accepted and ignored.
 
 ``run_mc`` never holds the path matrix: it folds each block into per-horizon
 tails of at most about 2k + block values, k = tail_rank(level, n_paths).
@@ -25,6 +26,7 @@ averaged the tail in partition order.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +37,24 @@ from .mathstat import tail_rank
 
 INNOVATION_NORMAL = "normal"
 INNOVATION_FHS = "fhs"
-# paths per streamed block; any size gives the same output. A 16,384-path
-# block's innovations (1.3 MB at horizon 10) stay in a 2 MiB L2 through the
-# recursion; at 1e6 x 10, 8,192 to 65,536 time alike within noise.
-_BLOCK = 16384
+# paths per streamed block; any size gives the same output. A block's
+# innovations take 0.65 MB at horizon 10, and up to three blocks are live
+# (being drawn, queued, in the recursion). run_mc at 1e6 x 10 on a 2-vCPU
+# Xeon, medians of 14 interleaved calls at 2,048 / 4,096 / 8,192 / 16,384 /
+# 32,768 paths: fhs 0.158 / 0.112 / 0.094 / 0.085 / 0.094 s, normal 0.163 /
+# 0.158 / 0.131 / 0.144 / 0.155 s. 16,384 ties 8,192 within noise but
+# allocates 1.6x to 1.7x as much at its peak (tracemalloc, 4e5 x 10).
+_BLOCK = 8192
 # path-steps (n_paths x horizon) one run may simulate: a cap on work, since
 # run_mc keeps at most about (2k + _BLOCK) x horizon cells of tail; a larger
 # request is refused before anything is drawn
 _MAX_CELLS = 2 ** 28
+# cells of tail (k x horizon) one run may keep, rounded up to whole paths:
+# k <= ceil(2^24 / horizon). run_mc allocates at most about 11 doubles per
+# tail cell at horizon 1 (1.5 GB at this cap; tracemalloc at 2^20 paths,
+# level 0.25) and 4.5 at horizon 4. Any level up to 1/16 stays within the
+# cap, as k <= ceil(n_paths / 16) and n_paths x horizon <= 2^28.
+_MAX_TAIL_CELLS = 2 ** 24
 
 
 def _check_tail(n_paths: int, p: float) -> None:
@@ -74,6 +86,11 @@ class McConfig:
             raise ConfigError(f"level must lie in (0, 0.5), got {self.level}")
         if self.innovation not in (INNOVATION_NORMAL, INNOVATION_FHS):
             raise ConfigError(f"unknown innovation kind {self.innovation!r}")
+        k = tail_rank(self.level, self.n_paths)
+        max_k = -(-_MAX_TAIL_CELLS // self.horizon)
+        if k > max_k:
+            raise ConfigError(f"tail paths (ceil(paths x level)) must be at most "
+                              f"{max_k} at horizon {self.horizon}, got {k}")
         _check_tail(self.n_paths, self.level)
 
 
@@ -91,11 +108,75 @@ class TermStructure:
         return len(self.var)
 
 
+def _draws(rng: np.random.Generator, pool: np.ndarray, cfg: McConfig):
+    """Innovations of each row block of paths, in the canonical draw order.
+
+    Yields one C-contiguous [horizon, block] array per block of at most
+    ``_BLOCK`` paths; each block draws path by path, each path's steps in
+    turn, so the stream does not depend on the block size.
+    """
+    for lo in range(0, cfg.n_paths, _BLOCK):
+        shape = (min(_BLOCK, cfg.n_paths - lo), cfg.horizon)
+        if cfg.innovation == INNOVATION_NORMAL:
+            yield rng.standard_normal(shape).T.copy()
+        else:
+            yield pool.take(rng.integers(0, pool.size, size=shape).T)
+
+
+def _drawn_ahead(draws):
+    """Iterate ``draws`` one item ahead, on a helper thread.
+
+    The helper produces item i+1 while the caller works on item i, and only
+    the helper advances ``draws``. An exception raised there reaches the
+    caller with its own type. When this generator returns, raises or is
+    closed, the helper has ended.
+    """
+    import queue  # only a multi-block run pays for this import
+
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def produce():
+        # On the way out the caller sets ``stop``, then takes one item if
+        # there is one; the helper puts at most one more item before it sees
+        # ``stop``, so no put is left blocked.
+        try:
+            for item in draws:
+                handoff.put(item)
+                if stop.is_set():
+                    return
+            handoff.put(None)
+        except BaseException as exc:  # the caller raises it
+            handoff.put(exc)
+
+    helper = threading.Thread(target=produce, name="riskengine-mc-draw",
+                              daemon=True)
+    helper.start()
+    try:
+        while (item := handoff.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        stop.set()
+        try:
+            handoff.get_nowait()
+        except queue.Empty:
+            pass
+        helper.join()
+
+
 def _blocks(fit: GarchFit, cfg: McConfig):
     """Cumulative returns of each row block of paths, in path order.
 
     Yields one [horizon, block] array per block of at most ``_BLOCK`` paths;
-    this loop is the only place innovations are drawn and the recursion runs.
+    this loop and ``_draws`` are the only places the recursion runs and
+    innovations are drawn. With more than one block, the next block is
+    drawn on a helper thread while this one runs its recursion and the
+    caller consumes it. The recursion runs in place on each innovation
+    row, with the operations of ``r = sqrt(v) * z; cum = cum + r;
+    v = omega + alpha * r * r + beta * v`` in that order, so the bytes do
+    not depend on the block size or the thread timing.
     """
     if len(fit.z) == 0 or len(fit.sigma) == 0:
         raise DataError("empty residual pool for bootstrap innovations")
@@ -104,22 +185,27 @@ def _blocks(fit: GarchFit, cfg: McConfig):
     v_start = next_variance(params, last_r, float(fit.sigma[-1] ** 2))
 
     rng = np.random.Generator(np.random.SFC64(cfg.seed))
-    pool = np.asarray(fit.z, dtype=float)
-    for lo in range(0, cfg.n_paths, _BLOCK):
-        shape = (min(_BLOCK, cfg.n_paths - lo), cfg.horizon)
-        if cfg.innovation == INNOVATION_NORMAL:
-            innov = rng.standard_normal(shape)
-        else:
-            innov = pool[rng.integers(0, pool.size, size=shape)]
-        out = np.empty(shape[::-1])
-        v = np.full(shape[0], v_start)
-        cum = np.zeros(shape[0])
-        for h in range(cfg.horizon):
-            r = np.sqrt(v) * innov[:, h]
-            cum = cum + r
-            out[h] = cum
-            v = params.omega + params.alpha * r * r + params.beta * v
-        yield out
+    draws = _draws(rng, np.asarray(fit.z, dtype=float), cfg)
+    if cfg.n_paths > _BLOCK:
+        draws = _drawn_ahead(draws)
+    width = min(_BLOCK, cfg.n_paths)
+    v_row, tmp_row = np.empty(width), np.empty(width)
+    try:
+        for block in draws:
+            v, tmp = v_row[:block.shape[1]], tmp_row[:block.shape[1]]
+            v.fill(v_start)
+            cum = 0.0  # cum + r, not r: 0.0 + -0.0 is 0.0
+            for h, row in enumerate(block):
+                np.multiply(np.sqrt(v, out=tmp), row, out=row)  # row is r
+                np.multiply(params.alpha, row, out=tmp)
+                np.multiply(tmp, row, out=tmp)
+                np.add(params.omega, tmp, out=tmp)
+                np.multiply(params.beta, v, out=v)
+                np.add(tmp, v, out=v)
+                cum = np.add(cum, row, out=row)  # row is the cumulative return
+            yield block
+    finally:
+        draws.close()
 
 
 def simulate_cumulative(fit: GarchFit, cfg: McConfig) -> np.ndarray:

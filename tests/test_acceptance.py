@@ -237,20 +237,23 @@ def test_criterion_10_cli_determinism_across_threads(tmp_path):
     ]
     src.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    outputs = []
-    for threads in ("1", "8"):
-        for attempt in ("a", "b"):
-            out = tmp_path / f"mc_{threads}_{attempt}.csv"
-            env = dict(os.environ, RISK_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "riskengine", "mc", str(src),
-                 "--paths", "1000", "--horizon", "5", "--level", "0.01",
-                 "--seed", "42", "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-    assert all(blob == outputs[0] for blob in outputs[1:])
+    # 40,000 paths span several blocks, so the runs draw on a helper thread
+    for innovation in ("normal", "fhs"):
+        outputs = []
+        for threads in ("1", "8"):
+            for attempt in ("a", "b"):
+                out = tmp_path / f"mc_{innovation}_{threads}_{attempt}.csv"
+                env = dict(os.environ, RISK_THREADS=threads)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "riskengine", "mc", str(src),
+                     "--paths", "40000", "--horizon", "5", "--level", "0.01",
+                     "--innovation", innovation, "--seed", "42",
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(out.read_bytes())
+        assert all(blob == outputs[0] for blob in outputs[1:])
     _ok(10, "mc command byte-identical under RISK_THREADS=1 and 8")
 
 

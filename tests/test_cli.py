@@ -502,8 +502,12 @@ class TestInputFaults:
         (["backtest", "--level", "0.9"], "level must lie in (0, 0.5), got 0.9"),
         (["backtest", "--window", "19"], "window must be >= 20, got 19"),
         (["connectedness", "--order", "0"], "order must be >= 1, got 0"),
+        (["mc", "--seed", "1", "--paths", "268435456", "--horizon", "1",
+          "--level", "0.49"],
+         "tail paths (ceil(paths x level)) must be at most 16777216 at "
+         "horizon 1, got 131533374"),
     ], ids=["var-level", "var-window", "backtest-level", "backtest-window",
-            "connectedness-order"])
+            "connectedness-order", "mc-tail-cells"])
     def test_options_checked_before_input_is_read(self, tmp_path, capsys,
                                                   monkeypatch, argv, message):
         def fail(*args, **kwargs):

@@ -1,6 +1,9 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from datetime import date
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import normal_es
-from riskengine import montecarlo
+from riskengine import ReturnSeries, montecarlo, write_csv
+from riskengine.cli import main
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
 from riskengine.garch import GarchFit, GarchParams, filter, next_variance
 from riskengine.mathstat import norm_inv_cdf
@@ -92,6 +96,27 @@ class TestConfig:
         # exactly 2**28 cells, checked from the shape alone (nothing allocated)
         cfg = McConfig(seed=1, n_paths=2 ** 25, horizon=8)
         assert cfg.n_paths * cfg.horizon == 2 ** 28
+
+    @pytest.mark.parametrize("n_paths, horizon, level, accepted", [
+        (2 ** 26, 1, 0.25, True),  # k = 2**24 exactly
+        (2 ** 26 + 4, 1, 0.25, False),  # k = 2**24 + 1
+        (2 ** 28 // 3, 3, 0.0625, True),  # k = ceil(2**24 / 3)
+        (2 ** 28 // 3, 3, 0.0626, False),
+        (2 ** 28, 1, 0.49, False),  # k = 131,533,374: a tail of 1 GB
+    ])
+    def test_tail_cell_cap(self, n_paths, horizon, level, accepted):
+        # constructed only: a run at these sizes would hold gigabytes
+        kwargs = dict(seed=1, n_paths=n_paths, horizon=horizon, level=level)
+        if accepted:
+            assert McConfig(**kwargs).n_paths == n_paths
+        else:
+            with pytest.raises(ConfigError, match="tail paths"):
+                McConfig(**kwargs)
+
+    def test_tail_cell_cap_spares_levels_up_to_a_sixteenth(self):
+        for horizon in range(1, 251):
+            McConfig(seed=1, n_paths=2 ** 28 // horizon, horizon=horizon,
+                     level=0.0625)
 
 
 class TestSimulateCumulative:
@@ -180,6 +205,153 @@ class TestSimulateCumulative:
         v_next = (params.omega + params.alpha * r_last ** 2
                   + params.beta * fit.sigma[-1] ** 2)
         assert np.allclose(cum[:, 0], math.sqrt(v_next), rtol=1e-12)
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("kind", ["normal", "fhs"])
+    @pytest.mark.parametrize("n_paths", [_BLOCK, _BLOCK + 1],
+                             ids=["one-block", "last-block-of-one-path"])
+    def test_matches_oracles(self, kind, n_paths):
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=22, n_paths=n_paths, horizon=6, level=0.01,
+                       innovation=kind)
+        cum = simulate_cumulative(fit, cfg)
+        assert cum.tobytes() == one_shot_cumulative(fit, cfg).tobytes()
+        assert _bytes(run_mc(fit, cfg)) == _bytes(_matrix_oracle(fit, cfg))
+
+    def test_negative_zero_innovations_accumulate_to_positive_zero(self):
+        # r = sqrt(v) * -0.0 is -0.0, and the running sum 0.0 + -0.0 is 0.0
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9),
+                   z_pool=np.array([-0.0]))
+        cfg = McConfig(seed=22, n_paths=_BLOCK + 1, horizon=3, level=0.01,
+                       innovation="fhs")
+        cum = simulate_cumulative(fit, cfg)
+        assert cum.tobytes() == np.zeros(cum.shape).tobytes()
+
+
+def _raise_on_third_block(exc):
+    """A stand-in for montecarlo._draws whose third block raises ``exc``."""
+    draws = montecarlo._draws
+
+    def failing(rng, pool, cfg):
+        for i, block in enumerate(draws(rng, pool, cfg)):
+            if i == 2:
+                raise exc
+            yield block
+
+    return failing
+
+
+class TestHelperThread:
+    """With more than one block, the next block is drawn on a helper thread."""
+
+    def test_draw_error_reaches_the_caller(self):
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=23, n_paths=5 * _BLOCK, horizon=3)
+        exc = MemoryError("Unable to allocate 1.00 GiB")
+        before = threading.enumerate()
+        with mock.patch.object(montecarlo, "_draws", _raise_on_third_block(exc)):
+            with pytest.raises(MemoryError) as info:
+                run_mc(fit, cfg)
+        assert info.value is exc
+        assert threading.enumerate() == before
+
+    def test_draw_memory_error_exits_4(self, tmp_path, capsys):
+        r = simulate_garch_returns(GarchParams(2e-6, 0.08, 0.90), 600, seed=1)
+        src = tmp_path / "returns.csv"
+        write_csv(ReturnSeries(
+            dates=[date.fromordinal(730000 + i) for i in range(len(r))],
+            returns=r), src)
+        exc = MemoryError("Unable to allocate 1.00 GiB")
+        before = threading.enumerate()
+        with mock.patch.object(montecarlo, "_draws", _raise_on_third_block(exc)):
+            code = main(["mc", str(src), "--seed", "1", "--paths", "50000",
+                         "--out", str(tmp_path / "mc.csv")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "riskengine: config error: out of memory: "
+            "Unable to allocate 1.00 GiB\n")
+        assert threading.enumerate() == before
+
+    def test_closed_after_first_block_leaves_no_helper(self):
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=24, n_paths=5 * _BLOCK, horizon=3)
+        before = threading.enumerate()
+        blocks = montecarlo._blocks(fit, cfg)
+        next(blocks)
+        assert len(threading.enumerate()) == len(before) + 1
+        blocks.close()
+        assert threading.enumerate() == before
+
+    def test_caller_error_leaves_no_helper(self):
+        # as in run_mc, the loop holds the only reference to the generator
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=24, n_paths=5 * _BLOCK, horizon=3)
+        before = threading.enumerate()
+        alive = []
+
+        def consume():
+            for _ in montecarlo._blocks(fit, cfg):
+                alive.append(len(threading.enumerate()))
+                raise ValueError("the caller failed")
+
+        with pytest.raises(ValueError):
+            consume()
+        assert alive == [len(before) + 1]
+        assert threading.enumerate() == before
+
+    def test_stress_callers_closing_early(self):
+        # three callers at once, each with its own helper (more threads than
+        # cores), switching threads every microsecond and closing at every
+        # block: each block must match the one-shot oracle, and every thread
+        # must end within the time bound
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=26, n_paths=400, horizon=3, level=0.05,
+                       innovation="fhs")
+        block = 7
+        expected = one_shot_cumulative(fit, cfg)
+        before = threading.enumerate()
+        errors = []
+
+        def caller():
+            try:
+                for stop_at in range(0, -(-cfg.n_paths // block), 3):
+                    blocks = montecarlo._blocks(fit, cfg)
+                    for i, got in enumerate(blocks):
+                        want = expected[i * block:(i + 1) * block].T
+                        assert got.tobytes() == want.tobytes()
+                        if i == stop_at:
+                            break
+                    blocks.close()
+            except BaseException as exc:
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller, daemon=True)
+                   for _ in range(3)]
+        interval = sys.getswitchinterval()
+        with mock.patch.object(montecarlo, "_BLOCK", block):
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("n_paths, started", [(_BLOCK, 0), (_BLOCK + 1, 1)])
+    def test_one_block_starts_no_thread(self, n_paths, started):
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=25, n_paths=n_paths, horizon=3)
+        before = threading.enumerate()
+        with mock.patch.object(montecarlo.threading, "Thread",
+                               wraps=threading.Thread) as spy:
+            run_mc(fit, cfg)
+        assert spy.call_count == started
+        assert threading.enumerate() == before
 
 
 class TestTermStructure:
