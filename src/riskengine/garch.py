@@ -9,9 +9,11 @@ quasi-likelihood summed from t=0. Returns relate to shocks by r[t] =
 sigma[t] * z[t], which makes the standardized residuals z available for
 filtered historical simulation.
 
-Only numpy is needed: the recursion and its parameter derivatives run as
-log-step doubling scans, and the fit is a projected quasi-Newton (BFGS)
-climb on the analytic score, so a command imports nothing heavier.
+Only numpy is needed: the recursion runs as a log-step doubling scan, and
+the fit is a projected quasi-Newton (BFGS) climb on the analytic score,
+which one reverse (adjoint) scan gives; the 3 x n parameter sensitivities
+are scanned only for the BHHH seed and the exact Hessian. So a command
+imports nothing heavier.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class GarchFit:
     ``converged`` is True when the fit is certified: no feasible step from
     the returned parameters gains more than 1e-6 in log-likelihood under the
     local quadratic model. ``nfev`` counts the likelihood evaluations the fit
-    made, with or without the score.
+    made, with or without the score; a BHHH restart of the climb evaluates
+    its point once more, and counts.
     """
 
     params: GarchParams
@@ -182,10 +185,17 @@ class _Likelihood:
         self.v0 = float(np.var(x, ddof=1))
         self.nfev = 0
 
-    def score(self, theta, hessian: bool = False):
-        """(loglik, gradient, q) at theta, q the 3 x n per-observation scores.
+    def score(self, theta, scores: bool = False, hessian: bool = False):
+        """(loglik, gradient, m) at theta, m None unless asked for.
 
-        With ``hessian`` the exact Hessian takes the place of q.
+        With ``scores`` m is q, the 3 x n per-observation scores whose outer
+        product is the BHHH matrix; with ``hessian`` it is the exact Hessian.
+        s[t] = d sigma2[t] / d theta follows the recursion with input
+        u[t] = (1, x2[t-1], sigma2[t-1]) and coefficient beta, so the
+        gradient sum_t w[t] s[t] / 2 equals sum_t u[t] g[t] / 2, with g the
+        reverse scan g[t] = w[t] + beta * g[t+1]: one 1-D scan, and the 3-row
+        scan of s runs only for m. The sums are numpy reductions, so every
+        mode gives the same gradient bytes.
         """
         self.nfev += 1
         omega, alpha, beta = theta
@@ -193,31 +203,30 @@ class _Likelihood:
         sigma2 = _variance_path(x2, self.v0, GarchParams(omega, alpha, beta))
         ratio = x2 / sigma2
         value = _gauss_loglik(sigma2, ratio)
-        # d sigma2[t] / d(omega, alpha, beta): 0 at t = 0, then the recursion
-        # with input (1, x2[t-1], sigma2[t-1]) and coefficient beta; the
-        # omega row is (1 - beta^t) / (1 - beta), scanned with the others
+        w = (ratio - 1.0) / sigma2
+        # g[t-1] pairs with u[t], t >= 1; s[0] = 0 drops w[0]
+        g = w[:0:-1].copy()
+        _scan(g, beta)
+        g = g[::-1]
+        grad = 0.5 * np.array([np.sum(g), np.sum(x2[:-1] * g),
+                               np.sum(sigma2[:-1] * g)])
+        if not (scores or hessian):
+            return value, grad, None
         s = np.empty((3, len(x2)))
         s[:, 0] = 0.0
         s[0, 1:] = 1.0
         s[1, 1:] = x2[:-1]
         s[2, 1:] = sigma2[:-1]
         _scan(s[:, 1:], beta)
-        w = (ratio - 1.0) / sigma2
-        q = s * (0.5 * w)
-        grad = q.sum(axis=1)
-        if not hessian:
-            return value, grad, q
+        if scores:
+            return value, grad, s * (0.5 * w)
         # second derivatives of sigma2: only those with beta are nonzero,
-        # and they follow the recursion with input d sigma2[t-1] / d theta
-        # (twice that for beta, beta)
-        s2 = np.empty_like(s)
-        s2[:, 0] = 0.0
-        s2[:, 1:] = s[:, :-1]
-        s2[2, 1:] *= 2.0
-        _scan(s2[:, 1:], beta)
+        # and they follow the recursion with input s[t-1] (twice that for
+        # beta, beta), so the same g sums them
         u = (2.0 * ratio - 1.0) / (sigma2 * sigma2)
         hess = -0.5 * ((s * u) @ s.T)
-        cross = 0.5 * (s2 @ w)
+        cross = 0.5 * np.sum(s[:, :-1] * g, axis=1)
+        cross[2] *= 2.0
         hess[2, :] += cross
         hess[:2, 2] += cross[:2]
         return value, grad, hess
@@ -306,11 +315,12 @@ def _bfgs(lik: _Likelihood, theta, b=None):
 
     Each step solves the quasi-Newton model on the face of bounds it keeps
     (``_face_step``) and backtracks until the Armijo condition holds. When a
-    step fails, the curvature restarts once from BHHH at the current point.
+    step fails, the curvature restarts once from BHHH at the current point,
+    for one more evaluation.
     Stops when the model gains at most 1e-9, or after _PASS_EVALS
     evaluations, and returns the last point.
     """
-    value, grad, q = lik.score(theta)
+    value, grad, q = lik.score(theta, scores=b is None)
     b = q @ q.T if b is None else b
     first = lik.nfev
     restarted = False
@@ -323,13 +333,14 @@ def _bfgs(lik: _Likelihood, theta, b=None):
         slope = float(grad @ d)
         while True:
             new = _moved(theta, d, t, t_max, which)
-            new_value, new_grad, new_q = lik.score(new)
+            new_value, new_grad, _ = lik.score(new)
             if new_value >= value + 1e-4 * t * slope or t < 1e-10:
                 break
             t *= 0.5
         if not new_value > value:
             if restarted:
                 break
+            q = lik.score(theta, scores=True)[2]  # one more evaluation
             b, restarted = q @ q.T, True
             continue
         step, change = new - theta, grad - new_grad
@@ -337,7 +348,7 @@ def _bfgs(lik: _Likelihood, theta, b=None):
         if curv > 1e-12 * float(np.linalg.norm(step) * np.linalg.norm(change)):
             bs = b @ step
             b = b - np.outer(bs, bs) / float(step @ bs) + np.outer(change, change) / curv
-        theta, value, grad, q, restarted = new, new_value, new_grad, new_q, False
+        theta, value, grad, restarted = new, new_value, new_grad, False
     return theta
 
 

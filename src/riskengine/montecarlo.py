@@ -50,10 +50,11 @@ _BLOCK = 8192
 # request is refused before anything is drawn
 _MAX_CELLS = 2 ** 28
 # cells of tail (k x horizon) one run may keep, rounded up to whole paths:
-# k <= ceil(2^24 / horizon). run_mc allocates at most about 11 doubles per
-# tail cell at horizon 1 (1.5 GB at this cap; tracemalloc at 2^20 paths,
-# level 0.25) and 4.5 at horizon 4. Any level up to 1/16 stays within the
-# cap, as k <= ceil(n_paths / 16) and n_paths x horizon <= 2^28.
+# k <= ceil(2^24 / horizon). run_mc allocates at most about 10 doubles per
+# tail cell at horizon 1 (1.3 GB at this cap; tracemalloc at 2^20 paths,
+# level 0.25) and 3.8 at horizon 4 (2.8 with fhs innovations). Any level up
+# to 1/16 stays within the cap, as k <= ceil(n_paths / 16) and n_paths x
+# horizon <= 2^28.
 _MAX_TAIL_CELLS = 2 ** 24
 
 
@@ -273,7 +274,10 @@ def run_mc(fit: GarchFit, cfg: McConfig) -> TermStructure:
             kept[h].append(new)
             counts[h] += new.size
             if counts[h] >= 2 * k:
-                tail = np.partition(np.concatenate(kept[h]), k - 1)[:k]
+                # a copy of the k smallest, so the >= 2k buffer is freed
+                tail = np.concatenate(kept[h])
+                tail.partition(k - 1)
+                tail = tail[:k].copy()
                 kept[h], counts[h], bounds[h] = [tail], k, float(tail[k - 1])
     var = np.empty(cfg.horizon)
     es = np.empty(cfg.horizon)

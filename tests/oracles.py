@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the engine against.
 
 Most are the straightforward forms of what the engine now computes faster:
-the row-by-row reader and date check, and the per-date VaR of ``hs_var``,
-``fhs_var`` and ``garch_normal_var`` that ``rolling_var`` replaced. The
+the row-by-row reader and date check, the per-date VaR of ``hs_var``,
+``fhs_var`` and ``garch_normal_var`` that ``rolling_var`` replaced, and the
+forward-scan GARCH score that the adjoint one replaced. The
 others, ``norm_cdf`` and ``normal_es``, are analytic references for the
 normal quantile and the Monte Carlo tails. Each is kept here unchanged so
 that a test can require the same results.
@@ -18,6 +19,7 @@ import numpy as np
 
 from riskengine.data import ReturnSeries
 from riskengine.errors import DataError
+from riskengine.garch import GarchParams, _gauss_loglik, _scan, _variance_path
 from riskengine.mathstat import empirical_quantile, norm_inv_cdf
 from riskengine.var_engine import VarConfig
 
@@ -147,3 +149,45 @@ def normal_es(p: float, sigma: float) -> float:
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return -sigma * _STD.pdf(norm_inv_cdf(p)) / p
+
+
+def garch_score(lik, theta, hessian: bool = False):
+    """(loglik, gradient, q) of ``garch._Likelihood`` lik at theta by forward scans.
+
+    q is the 3 x n per-observation scores; with ``hessian`` the exact
+    Hessian takes its place. The scores ``_Likelihood.score`` replaced: it
+    scans the 3 x n sensitivities d sigma2 / d theta (and, for the Hessian,
+    their 3 x n derivatives in beta) forward and sums them against w.
+    """
+    omega, alpha, beta = theta
+    x2 = lik.x2
+    sigma2 = _variance_path(x2, lik.v0, GarchParams(omega, alpha, beta))
+    ratio = x2 / sigma2
+    value = _gauss_loglik(sigma2, ratio)
+    # d sigma2[t] / d(omega, alpha, beta): 0 at t = 0, then the recursion
+    # with input (1, x2[t-1], sigma2[t-1]) and coefficient beta
+    s = np.empty((3, len(x2)))
+    s[:, 0] = 0.0
+    s[0, 1:] = 1.0
+    s[1, 1:] = x2[:-1]
+    s[2, 1:] = sigma2[:-1]
+    _scan(s[:, 1:], beta)
+    w = (ratio - 1.0) / sigma2
+    q = s * (0.5 * w)
+    grad = q.sum(axis=1)
+    if not hessian:
+        return value, grad, q
+    # second derivatives of sigma2: only those with beta are nonzero, and
+    # they follow the recursion with input d sigma2[t-1] / d theta (twice
+    # that for beta, beta)
+    s2 = np.empty_like(s)
+    s2[:, 0] = 0.0
+    s2[:, 1:] = s[:, :-1]
+    s2[2, 1:] *= 2.0
+    _scan(s2[:, 1:], beta)
+    u = (2.0 * ratio - 1.0) / (sigma2 * sigma2)
+    hess = -0.5 * ((s * u) @ s.T)
+    cross = 0.5 * (s2 @ w)
+    hess[2, :] += cross
+    hess[:2, 2] += cross[:2]
+    return value, grad, hess

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import garch_score
+from riskengine import garch
 from riskengine.errors import DataError
 from riskengine.garch import (
     GarchParams,
@@ -99,7 +101,8 @@ def test_score_and_hessian_match_finite_differences(theta):
                                1_000, seed=5)
     lik = _Likelihood(r / 2.0 ** -7)
     theta = np.array(theta)
-    value, grad, q = lik.score(theta)
+    value, grad, _ = lik.score(theta)
+    q = lik.score(theta, scores=True)[2]
     _, same_grad, hess = lik.score(theta, hessian=True)
     assert value == loglik(r / 2.0 ** -7, GarchParams(*theta))
     assert np.array_equal(same_grad, grad)
@@ -119,6 +122,90 @@ def test_score_and_hessian_match_finite_differences(theta):
             rtol = 1e-3
         assert slope == pytest.approx(grad[i], rel=rtol)
         assert np.allclose(curve, hess[:, i], rtol=rtol, atol=0)
+
+
+@st.composite
+def _score_point(draw):
+    """(n, seed, innovation, theta) with theta inside or on a face of the box."""
+    n = draw(st.integers(min_value=2, max_value=3_000))
+    seed = draw(st.integers(0, 2**32))
+    innovation = draw(st.sampled_from(["normal", "student_t"]))
+    omega = draw(st.floats(1e-3, 2.0))
+    alpha = draw(st.floats(0.0, 0.3))
+    face = draw(st.sampled_from(["interior", "beta-zero", "beta-underflows",
+                                 "alpha-zero", "persistence-bound"]))
+    if face == "interior":
+        beta = draw(st.floats(0.0, 1.0 - 1e-6 - alpha))
+    elif face == "beta-zero":
+        beta = 0.0
+    elif face == "beta-underflows":  # beta**2 is 0.0, so the scans stop early
+        beta = draw(st.floats(1e-300, 1e-160))
+    elif face == "alpha-zero":
+        alpha, beta = 0.0, draw(st.floats(0.0, 1.0 - 1e-6))
+    else:
+        alpha = draw(st.floats(0.0, 1.0 - 1e-6))
+        beta = 1.0 - 1e-6 - alpha
+    return n, seed, innovation, (omega, alpha, beta)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point=_score_point())
+@example(point=(2, 1, "normal", (0.5, 0.1, 0.8)))
+@example(point=(3_000, 2, "student_t", (0.01, 0.05, 1.0 - 1e-6 - 0.05)))
+@example(point=(3_000, 3, "normal", (0.01, 0.0, 1.0 - 1e-6)))
+def test_score_matches_forward_scan_oracle(point):
+    # the adjoint gradient and Hessian agree with the forward scans to
+    # within 1e-12 of their largest entry; the value is the same bytes
+    n, seed, innovation, theta = point
+    r = simulate_garch_returns(_GARCH, n, seed=seed, innovation=innovation)
+    lik = _Likelihood(r / 2.0 ** -7)
+    theta = np.array(theta)
+    for hessian in (False, True):
+        value, grad, m = lik.score(theta, hessian=hessian)
+        want_value, want_grad, want_m = garch_score(lik, theta, hessian=hessian)
+        assert value == want_value
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        if hessian:
+            assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(np.abs(want_m))
+
+
+class TestScanWork:
+    """Scans are the work of an evaluation: a 3 x n scan costs three 1-D ones."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        shapes = []
+        scan = garch._scan
+
+        def spy(x, c):
+            shapes.append(x.shape)
+            scan(x, c)
+
+        monkeypatch.setattr(garch, "_scan", spy)
+        return shapes
+
+    def test_plain_evaluation_scans_two_rows(self, scans):
+        lik = _Likelihood(simulate_garch_returns(_GARCH, 1_000, seed=5) / 2.0 ** -7)
+        lik.score(np.array([0.03, 0.08, 0.88]))
+        assert scans == [(999,), (999,)]
+
+    def test_fit_scans_a_matrix_only_for_bhhh_or_the_hessian(self, scans, monkeypatch):
+        # white noise: four climbs, with BHHH seeds, certificates and one
+        # BHHH restart, whose extra evaluation nfev counts
+        calls = []
+        score = _Likelihood.score
+
+        def spy(lik, theta, scores=False, hessian=False):
+            calls.append(scores or hessian)
+            return score(lik, theta, scores=scores, hessian=hessian)
+
+        monkeypatch.setattr(_Likelihood, "score", spy)
+        fitted = fit(simulate_garch_returns(_IID, 10_000, seed=1072))
+        matrices = [shape for shape in scans if len(shape) == 2]
+        assert len(matrices) == sum(calls) >= 8
+        # two 1-D scans per evaluation, plus the fit's final variance path
+        assert len(scans) - len(matrices) == 2 * len(calls) + 1
+        assert fitted.nfev == len(calls) + 1
 
 
 class TestFilter:

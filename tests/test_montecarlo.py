@@ -16,7 +16,7 @@ from riskengine import ReturnSeries, montecarlo, write_csv
 from riskengine.cli import main
 from riskengine.errors import ConfigError, DataError, TailTooSmallError
 from riskengine.garch import GarchFit, GarchParams, filter, next_variance
-from riskengine.mathstat import norm_inv_cdf
+from riskengine.mathstat import norm_inv_cdf, tail_rank
 from riskengine.montecarlo import (
     _BLOCK,
     McConfig,
@@ -434,6 +434,25 @@ class TestStreamedTail:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 10 ** 6
+
+    @pytest.mark.parametrize("kind, horizon, doubles", [
+        ("normal", 1, 10.5),  # 11.07 if each kept tail pins its partition buffer
+        ("fhs", 4, 3.5),  # 4.05 likewise
+    ])
+    def test_peak_per_tail_cell(self, kind, horizon, doubles):
+        # k = 262,144 at level 0.25: the tail, not the blocks, sets the peak
+        fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
+        cfg = McConfig(seed=22, n_paths=2 ** 20, horizon=horizon, level=0.25,
+                       innovation=kind)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_mc(fit, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = tail_rank(cfg.level, cfg.n_paths)
+        assert peak < doubles * 8 * k * horizon
 
 
 class TestRunMc:
