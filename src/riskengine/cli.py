@@ -2,7 +2,7 @@
 
 This module owns every output-file layout; the analytics modules only
 compute. ``qq``, ``backtest`` and ``mc`` lay out their files inline with
-``data.write_rows`` and ``data.write_json``; the VaR table, the spillover
+``data.write_columns`` and ``data.write_json``; the VaR table, the spillover
 table and the edge list have their own writers here, ``write_var_csv``,
 ``write_table_csv`` and ``write_edges_json``, which the benchmark tracer
 times by these names.
@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import asdict
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,13 @@ from .connectedness import (
     connectedness_table,
     fit_var,
 )
-from .data import load_csv, load_multi_csv, to_log_returns, write_json, write_rows
+from .data import (
+    load_csv,
+    load_multi_csv,
+    to_log_returns,
+    write_columns,
+    write_json,
+)
 from .errors import ConfigError, DataError, EstimationError
 from .garch import GarchFit, fit as fit_garch
 from .mathstat import qq_points
@@ -85,9 +92,9 @@ def _write_manifest(args, input_sha256, outputs) -> None:
 def write_var_csv(columns: list[VarSeries], path) -> None:
     """Date/return/VaR table, one VaR column per method (Table-style layout)."""
     first = columns[0]
-    values = zip(first.realized.tolist(), *(c.var.tolist() for c in columns))
-    write_rows(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
-               ([when.isoformat(), *row] for when, row in zip(first.dates, values)))
+    write_columns(path, ["date", "return"] + [f"var_{c.method}" for c in columns],
+                  [map(date.isoformat, first.dates), first.realized.tolist(),
+                   *(c.var.tolist() for c in columns)])
 
 
 def write_table_csv(table: ConnectednessTable, names, path) -> None:
@@ -102,7 +109,7 @@ def write_table_csv(table: ConnectednessTable, names, path) -> None:
     rows.append(["to_others", *table.to_others.tolist(), ""])
     rows.append(["net", *table.net.tolist(), ""])
     rows.append(["tci", float(table.tci)] + [""] * len(names))
-    write_rows(path, ["series"] + names + ["from_others"], rows)
+    write_columns(path, ["series"] + names + ["from_others"], zip(*rows))
 
 
 def write_edges_json(table: ConnectednessTable, names, horizon: int,
@@ -145,14 +152,20 @@ def _cmd_qq(args) -> list:
         points = qq_points(_fitted(series).z, mean=0.0, sd=1.0)
     else:
         r = series.returns
-        with np.errstate(over="ignore"):  # an overflow is rejected just below
+        # an overflow, or the nan of +inf and -inf sums, is rejected just below
+        with np.errstate(over="ignore", invalid="ignore"):
             sd = float(np.std(r, ddof=1)) if len(r) > 1 else 0.0
-        if not 0.0 < sd < np.inf:
+        if not np.isfinite(sd):
+            raise DataError("sample standard deviation of the returns is not finite")
+        if sd == 0.0 and r.min() < r.max():  # the squared deviations underflowed
+            raise DataError("sample standard deviation underflowed to 0.0: the "
+                            "returns are too small")
+        if not 0.0 < sd:
             raise DataError(f"sample standard deviation must be positive "
                             f"and finite, got {sd}")
         points = qq_points(r, mean=float(np.mean(r)), sd=sd)
-    write_rows(args.out, ["theoretical", "empirical"],
-               zip(points.theoretical.tolist(), points.empirical.tolist()))
+    write_columns(args.out, ["theoretical", "empirical"],
+                  [points.theoretical.tolist(), points.empirical.tolist()])
     return [args.out]
 
 
@@ -177,8 +190,8 @@ def _cmd_backtest(args) -> list:
     write_json(args.out, payload)
     out = Path(args.out)
     breach_path = out.with_name(out.stem + ".breaches.csv")
-    write_rows(breach_path, ["date", "indicator"],
-               zip((d.isoformat() for d in b.dates), b.indicator.tolist()))
+    write_columns(breach_path, ["date", "indicator"],
+                  [map(date.isoformat, b.dates), b.indicator.tolist()])
     return [args.out, breach_path]
 
 
@@ -186,8 +199,8 @@ def _cmd_mc(args) -> list:
     cfg = McConfig(seed=args.seed, n_paths=args.paths, horizon=args.horizon,
                    level=args.level, innovation=args.innovation)
     ts = run_mc(_fitted(_load_returns(args)), cfg)
-    write_rows(args.out, ["horizon", "var", "es"],
-               zip(range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()))
+    write_columns(args.out, ["horizon", "var", "es"],
+                  [range(1, ts.horizon + 1), ts.var.tolist(), ts.es.tolist()])
     return [args.out]
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,12 +51,14 @@ _BLOCK = 8192
 # request is refused before anything is drawn
 _MAX_CELLS = 2 ** 28
 # cells of tail (k x horizon) one run may keep, rounded up to whole paths:
-# k <= ceil(2^24 / horizon). run_mc allocates at most about 10 doubles per
-# tail cell at horizon 1 (1.3 GB at this cap; tracemalloc at 2^20 paths,
-# level 0.25) and 3.8 at horizon 4 (2.8 with fhs innovations). Any level up
+# k <= ceil(2^24 / horizon). run_mc allocates at most about 5.2 doubles per
+# tail cell at horizon 1 (0.7 GB at this cap; tracemalloc at 2^20 paths,
+# level 0.25) and 2.8 at horizon 4, with either innovation. Any level up
 # to 1/16 stays within the cap, as k <= ceil(n_paths / 16) and n_paths x
 # horizon <= 2^28.
 _MAX_TAIL_CELLS = 2 ** 24
+# tail values per tolist() in _tail's fsum
+_FSUM_CHUNK = 65536
 
 
 def _check_tail(n_paths: int, p: float) -> None:
@@ -226,13 +229,17 @@ def simulate_cumulative(fit: GarchFit, cfg: McConfig) -> np.ndarray:
 def _tail(values: np.ndarray, k: int) -> tuple[float, float]:
     """VaR and ES of the k smallest values, whatever their order.
 
-    VaR is the k-th smallest value. ES is the correctly rounded sum of the k
-    smallest (``math.fsum``) over k; when they tie, that quotient can land
-    one ulp above them, so ES is capped at VaR.
+    Partitions ``values`` in place. VaR is the k-th smallest value. ES is
+    the correctly rounded sum of the k smallest (``math.fsum``, fed
+    ``_FSUM_CHUNK`` values at a time) over k; when they tie, that quotient
+    can land one ulp above them, so ES is capped at VaR.
     """
-    tail = np.partition(values, k - 1)[:k]
+    values.partition(k - 1)
+    tail = values[:k]
     var = float(tail.max())
-    return var, min(math.fsum(tail.tolist()) / k, var)
+    total = math.fsum(chain.from_iterable(
+        tail[lo:lo + _FSUM_CHUNK].tolist() for lo in range(0, k, _FSUM_CHUNK)))
+    return var, min(total / k, var)
 
 
 def term_structure(cum: np.ndarray, p: float) -> TermStructure:
@@ -249,7 +256,7 @@ def term_structure(cum: np.ndarray, p: float) -> TermStructure:
     var = np.empty(horizon)
     es = np.empty(horizon)
     for h in range(horizon):
-        var[h], es[h] = _tail(cum[:, h], k)
+        var[h], es[h] = _tail(cum[:, h].copy(), k)  # not the caller's matrix
     return TermStructure(var=var, es=es, level=p, n_paths=n_paths)
 
 
@@ -303,9 +310,12 @@ def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
         z = rng.standard_t(5.0, n_obs) * math.sqrt((5.0 - 2.0) / 5.0)
     else:
         raise ConfigError(f"unknown innovation kind {innovation!r}")
-    r = np.empty(n_obs)
+    # next_variance's operations in its order, on Python floats
+    omega, alpha, beta = params.omega, params.alpha, params.beta
     v = params.unconditional_variance
-    for t in range(n_obs):
-        r[t] = math.sqrt(v) * z[t]
-        v = next_variance(params, r[t], v)
-    return r
+    r = []
+    for z_t in z.tolist():
+        r_t = math.sqrt(v) * z_t
+        r.append(r_t)
+        v = omega + alpha * r_t * r_t + beta * v
+    return np.array(r)

@@ -1,12 +1,14 @@
 """Reference implementations the tests compare the engine against.
 
 Most are the straightforward forms of what the engine now computes faster:
-the row-by-row reader and date check, the per-date VaR of ``hs_var``,
-``fhs_var`` and ``garch_normal_var`` that ``rolling_var`` replaced, and the
-forward-scan GARCH score that the adjoint one replaced. The
-others, ``norm_cdf`` and ``normal_es``, are analytic references for the
-normal quantile and the Monte Carlo tails. Each is kept here unchanged so
-that a test can require the same results.
+the row-by-row reader and date check, the ``csv.writer`` row writer that
+``write_columns`` replaced, the numpy-scalar loop of
+``simulate_garch_returns``, the per-date VaR of ``hs_var``, ``fhs_var`` and
+``garch_normal_var`` that ``rolling_var`` replaced, and the forward-scan
+GARCH score that the adjoint one replaced. The others, ``norm_cdf`` and
+``normal_es``, are analytic references for the normal quantile and the
+Monte Carlo tails. Each is kept here unchanged so that a test can require
+the same results.
 """
 
 import csv
@@ -18,8 +20,14 @@ from statistics import NormalDist
 import numpy as np
 
 from riskengine.data import ReturnSeries
-from riskengine.errors import DataError
-from riskengine.garch import GarchParams, _gauss_loglik, _scan, _variance_path
+from riskengine.errors import ConfigError, DataError
+from riskengine.garch import (
+    GarchParams,
+    _gauss_loglik,
+    _scan,
+    _variance_path,
+    next_variance,
+)
 from riskengine.mathstat import empirical_quantile, norm_inv_cdf
 from riskengine.var_engine import VarConfig
 
@@ -91,6 +99,45 @@ def read_columns(path, date_column: str, value_columns):
     dates = tuple(r[0] for r in rows)
     names = tuple(header[i] for i in v_idx)
     return names, dates, np.array([r[1] for r in rows], dtype=float)
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with LF line ends.
+
+    The row writer ``riskengine.data.write_columns`` replaced. Floats are
+    written with ``repr``, so a load recovers them exactly; convert arrays
+    with ``.tolist()``.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def simulate_garch_returns(params: GarchParams, n_obs: int, seed: int,
+                           innovation: str = "normal") -> np.ndarray:
+    """Synthetic return path following the variance recursion.
+
+    The numpy-scalar loop ``riskengine.montecarlo.simulate_garch_returns``
+    replaced. ``"student_t"`` innovations have 5 degrees of freedom and are
+    rescaled to unit variance so omega keeps its meaning across innovation
+    choices. Starts at the unconditional variance.
+    """
+    if n_obs < 1:
+        raise ConfigError(f"need at least one observation, got {n_obs}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if innovation == "normal":
+        z = rng.standard_normal(n_obs)
+    elif innovation == "student_t":
+        z = rng.standard_t(5.0, n_obs) * math.sqrt((5.0 - 2.0) / 5.0)
+    else:
+        raise ConfigError(f"unknown innovation kind {innovation!r}")
+    r = np.empty(n_obs)
+    v = params.unconditional_variance
+    for t in range(n_obs):
+        r[t] = math.sqrt(v) * z[t]
+        v = next_variance(params, r[t], v)
+    return r
 
 
 def check_finite_increasing(dates, values: np.ndarray) -> None:

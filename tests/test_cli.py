@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskengine
@@ -465,6 +465,22 @@ class TestInputFaults:
         assert code == 2
         assert capsys.readouterr().err.startswith("riskengine: data error: ")
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["qq", "--mean-match"], "sample standard deviation underflowed to "
+                                 "0.0: the returns are too small"),
+        (["var", "--method", "garch-n"],
+         "sample variance underflowed to 0.0 (the returns are too small); it "
+         "must be finite and at least 2.2250738585072014e-308"),
+    ], ids=["qq", "fit"])
+    def test_underflowing_spread_is_named(self, tmp_path, capsys, argv,
+                                          reason):
+        # normal floats, not constant, whose squared deviations underflow
+        path, _ = _returns_csv(tmp_path, n=300, scale=1e-160)
+        code = main([argv[0], str(path), *argv[1:],
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"riskengine: data error: {reason}\n"
+
     @pytest.mark.parametrize("argv", [
         ["mc", "--paths", "1000000000", "--seed", "1"],
         ["mc", "--paths", "100000000", "--horizon", "250", "--seed", "1"],
@@ -626,7 +642,7 @@ def _csv_bytes(draw):
     # at least half the files are long enough for a GARCH fit (250 rows)
     n = draw(st.one_of(st.integers(min_value=1, max_value=400),
                        st.integers(min_value=250, max_value=400)))
-    scale = 10.0 ** draw(st.integers(min_value=-300, max_value=300))
+    scale = 10.0 ** draw(st.integers(min_value=-300, max_value=308))
     loc = draw(st.sampled_from([0.0] * 3 + [1.0, 1e150, 1e154]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
     values = (loc + rng.standard_normal((n, 2)) * scale).tolist()
@@ -654,8 +670,20 @@ def _csv_bytes(draw):
     return data
 
 
+# finite values whose variance sums overflow to +inf and -inf, then cancel
+# to nan
+_ALTERNATING = ("date,return\n" + "".join(
+    f"{date.fromordinal(735000 + i).isoformat()},{(-1) ** i * 1e308!r}\n"
+    for i in range(600))).encode("utf-8")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_argv(), data=_csv_bytes())
+@example(argv=["qq", "--mean-match"], data=_ALTERNATING)
+@example(argv=["qq", "--garch"], data=_ALTERNATING)
+@example(argv=["var", "--method", "garch-n"], data=_ALTERNATING)
+@example(argv=["backtest", "--method", "fhs"], data=_ALTERNATING)
+@example(argv=["mc", "--seed", "7"], data=_ALTERNATING)
 def test_every_input_ends_in_a_documented_exit_code(argv, data):
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "in.csv"

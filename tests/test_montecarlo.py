@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import normal_es
 from riskengine import ReturnSeries, montecarlo, write_csv
 from riskengine.cli import main
@@ -403,6 +404,22 @@ class TestTermStructure:
             perm = rng.permutation(len(cum))
             assert _bytes(term_structure(cum[perm], 0.03)) == expected
 
+    def test_leaves_the_matrix_unchanged(self):
+        # each column is a view of the caller's matrix, so not partitioned
+        cum = np.random.default_rng(85).standard_normal((5000, 3))
+        before = cum.copy()
+        term_structure(cum, 0.03)
+        assert cum.tobytes() == before.tobytes()
+
+    def test_es_sums_every_chunk_of_a_long_tail(self):
+        # k = 90,000 spans two of _tail's fsum chunks
+        col = np.random.default_rng(86).standard_normal((300_000, 1))
+        ts = term_structure(col, 0.3)
+        k = tail_rank(0.3, len(col))
+        tail = np.sort(col[:, 0])[:k]
+        assert ts.var[0] == tail[-1]
+        assert ts.es[0] == min(math.fsum(tail.tolist()) / k, tail[-1])
+
 
 class TestStreamedTail:
     @pytest.mark.parametrize("kind", ["normal", "fhs"])
@@ -436,8 +453,11 @@ class TestStreamedTail:
         assert peak < 8 * 10 ** 6
 
     @pytest.mark.parametrize("kind, horizon, doubles", [
-        ("normal", 1, 10.5),  # 11.07 if each kept tail pins its partition buffer
-        ("fhs", 4, 3.5),  # 4.05 likewise
+        # 10.03 and 2.84 if the last reduction partitions a copy and lists
+        # the whole tail at once; 11.07 and 4.05 if, besides, each kept
+        # tail pins its partition buffer
+        ("normal", 1, 5.5),  # 5.17
+        ("fhs", 4, 3.0),  # 2.84
     ])
     def test_peak_per_tail_cell(self, kind, horizon, doubles):
         # k = 262,144 at level 0.25: the tail, not the blocks, sets the peak
@@ -582,3 +602,40 @@ class TestGarchSimulator:
     def test_unknown_innovation(self):
         with pytest.raises(ConfigError):
             simulate_garch_returns(IID, 100, seed=4, innovation="bootstrap")
+
+
+@st.composite
+def _sim_params(draw):
+    omega = draw(st.sampled_from([1e-6, 1e-4, 2.5]))
+    kind = draw(st.sampled_from(["iid", "bound", "interior"]))
+    if kind == "iid":
+        return GarchParams(omega, 0.0, 0.0)
+    alpha = draw(st.floats(min_value=0.0, max_value=0.5))
+    if kind == "bound":  # alpha + beta = 1 - 1e-6
+        return GarchParams(omega, alpha, 1.0 - 1e-6 - alpha)
+    return GarchParams(omega, alpha,
+                       draw(st.floats(min_value=0.0, max_value=0.99 - alpha)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=_sim_params(), n_obs=st.integers(min_value=1, max_value=5_000),
+       seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       innovation=st.sampled_from(["normal", "student_t"]))
+def test_simulator_matches_numpy_scalar_loop_oracle(params, n_obs, seed,
+                                                    innovation):
+    got = simulate_garch_returns(params, n_obs, seed, innovation=innovation)
+    want = oracles.simulate_garch_returns(params, n_obs, seed,
+                                          innovation=innovation)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_obs, innovation", [(0, "normal"), (-1, "normal"),
+                                               (10, "bootstrap")])
+def test_simulator_refuses_like_the_oracle(n_obs, innovation):
+    raised = []
+    for simulate in (simulate_garch_returns, oracles.simulate_garch_returns):
+        with pytest.raises(Exception) as info:
+            simulate(IID, n_obs, seed=1, innovation=innovation)
+        raised.append(type(info.value))
+    assert raised == [ConfigError, ConfigError]
