@@ -152,17 +152,17 @@ def _cmd_qq(args) -> list:
         points = qq_points(_fitted(series).z, mean=0.0, sd=1.0)
     else:
         r = series.returns
+        if r.min() == r.max():  # a single row, too; np.std can round 0 up
+            raise DataError("the returns are constant: their sample standard "
+                            "deviation is 0")
         # an overflow, or the nan of +inf and -inf sums, is rejected just below
         with np.errstate(over="ignore", invalid="ignore"):
-            sd = float(np.std(r, ddof=1)) if len(r) > 1 else 0.0
+            sd = float(np.std(r, ddof=1))
         if not np.isfinite(sd):
             raise DataError("sample standard deviation of the returns is not finite")
-        if sd == 0.0 and r.min() < r.max():  # the squared deviations underflowed
+        if sd == 0.0:  # the squared deviations underflowed
             raise DataError("sample standard deviation underflowed to 0.0: the "
                             "returns are too small")
-        if not 0.0 < sd:
-            raise DataError(f"sample standard deviation must be positive "
-                            f"and finite, got {sd}")
         points = qq_points(r, mean=float(np.mean(r)), sd=sd)
     write_columns(args.out, ["theoretical", "empirical"],
                   [points.theoretical.tolist(), points.empirical.tolist()])

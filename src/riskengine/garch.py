@@ -401,6 +401,8 @@ def fit(returns) -> GarchFit:
     r = _as_returns(returns)
     if len(r) < 250:
         raise DataError(f"need at least 250 observations to fit, got {len(r)}")
+    if r.min() == r.max():  # np.var of constant returns can read 1e-34, not 0
+        raise DataError("the returns are constant: their sample variance is 0")
     # overflows, and the nan of +inf and -inf sums, are rejected just below
     with np.errstate(over="ignore", invalid="ignore"):
         sample_var = float(np.var(r, ddof=1))
@@ -408,13 +410,10 @@ def fit(returns) -> GarchFit:
     if not math.isfinite(sample_var):
         raise DataError("sample variance of the returns is not finite")
     # below this omega, mapped back by s**2 from standardized units, underflows
-    if sample_var < sys.float_info.min:
-        if r.min() < r.max():  # not constant: the squared deviations underflowed
-            raise DataError(f"sample variance underflowed to {sample_var} (the "
-                            f"returns are too small); it must be finite and "
-                            f"at least {sys.float_info.min}")
-        raise DataError(f"sample variance must be finite and at least "
-                        f"{sys.float_info.min}, got {sample_var}")
+    if sample_var < sys.float_info.min:  # the squared deviations underflowed
+        raise DataError(f"sample variance underflowed to {sample_var} (the "
+                        f"returns are too small); it must be finite and at "
+                        f"least {sys.float_info.min}")
     if corner_omega == math.inf:
         raise DataError("mean square of the returns is not finite")
     mantissa, exponent = math.frexp(math.sqrt(sample_var))

@@ -8,14 +8,14 @@ residuals.
 
 Determinism contract: innovations come from ``np.random.SFC64`` seeded with
 the seed, in one canonical order (path by path, each path's steps in turn).
-Paths are simulated in row blocks. With more than one block, one helper
-thread draws block i+1 while the calling thread runs the recursion of block
-i; only the helper touches the generator, and it draws the blocks in order,
-so the output is bit-identical for a given (fit, config) whatever the block
-size or thread timing. ``RISK_THREADS`` is accepted and ignored.
+Paths are simulated in row blocks. With more than one block, a one-worker
+executor draws block i+1 while the calling thread runs the recursion of
+block i; only the worker touches the generator, and it draws the blocks in
+order, so the output is bit-identical for a given (fit, config) whatever
+the block size or thread timing. ``RISK_THREADS`` is accepted and ignored.
 
-``run_mc`` never holds the path matrix: it folds each block into per-horizon
-tails of at most about 2k + block values, k = tail_rank(level, n_paths).
+``run_mc`` never holds the path matrix: it folds each block into one
+[horizon, 2k + block] tail buffer, k = tail_rank(level, n_paths).
 VaR is the k-th smallest cumulative return and ES is ``math.fsum`` of the k
 smallest over k, capped at VaR; neither depends on the order of the paths,
 so ``run_mc`` gives the bytes of ``term_structure(simulate_cumulative(...))``.
@@ -26,7 +26,6 @@ averaged the tail in partition order.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,8 +38,8 @@ from .mathstat import tail_rank
 INNOVATION_NORMAL = "normal"
 INNOVATION_FHS = "fhs"
 # paths per streamed block; any size gives the same output. A block's
-# innovations take 0.65 MB at horizon 10, and up to three blocks are live
-# (being drawn, queued, in the recursion). run_mc at 1e6 x 10 on a 2-vCPU
+# innovations take 0.65 MB at horizon 10, and two blocks are live (being
+# drawn, in the recursion). run_mc at 1e6 x 10 on a 2-vCPU
 # Xeon, medians of 14 interleaved calls at 2,048 / 4,096 / 8,192 / 16,384 /
 # 32,768 paths: fhs 0.158 / 0.112 / 0.094 / 0.085 / 0.094 s, normal 0.163 /
 # 0.158 / 0.131 / 0.144 / 0.155 s. 16,384 ties 8,192 within noise but
@@ -51,9 +50,9 @@ _BLOCK = 8192
 # request is refused before anything is drawn
 _MAX_CELLS = 2 ** 28
 # cells of tail (k x horizon) one run may keep, rounded up to whole paths:
-# k <= ceil(2^24 / horizon). run_mc allocates at most about 5.2 doubles per
-# tail cell at horizon 1 (0.7 GB at this cap; tracemalloc at 2^20 paths,
-# level 0.25) and 2.8 at horizon 4, with either innovation. Any level up
+# k <= ceil(2^24 / horizon). run_mc allocates at most about 3.4 doubles per
+# tail cell at horizon 1 (0.45 GB at this cap; tracemalloc at 2^20 paths,
+# level 0.25) and 2.3 at horizon 4, with either innovation. Any level up
 # to 1/16 stays within the cap, as k <= ceil(n_paths / 16) and n_paths x
 # horizon <= 2^28.
 _MAX_TAIL_CELLS = 2 ** 24
@@ -128,46 +127,21 @@ def _draws(rng: np.random.Generator, pool: np.ndarray, cfg: McConfig):
 
 
 def _drawn_ahead(draws):
-    """Iterate ``draws`` one item ahead, on a helper thread.
+    """Iterate ``draws`` one item ahead, on a one-worker executor.
 
-    The helper produces item i+1 while the caller works on item i, and only
-    the helper advances ``draws``. An exception raised there reaches the
-    caller with its own type. When this generator returns, raises or is
-    closed, the helper has ended.
+    The worker produces item i+1 while the caller works on item i, and only
+    the worker advances ``draws``. An exception raised there reaches the
+    caller as the same object. When this generator returns, raises or is
+    closed, the worker has ended.
     """
-    import queue  # only a multi-block run pays for this import
+    # only a multi-block run pays for this import (and the logging it loads)
+    from concurrent.futures import ThreadPoolExecutor
 
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
-
-    def produce():
-        # On the way out the caller sets ``stop``, then takes one item if
-        # there is one; the helper puts at most one more item before it sees
-        # ``stop``, so no put is left blocked.
-        try:
-            for item in draws:
-                handoff.put(item)
-                if stop.is_set():
-                    return
-            handoff.put(None)
-        except BaseException as exc:  # the caller raises it
-            handoff.put(exc)
-
-    helper = threading.Thread(target=produce, name="riskengine-mc-draw",
-                              daemon=True)
-    helper.start()
-    try:
-        while (item := handoff.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
+    with ThreadPoolExecutor(1, "riskengine-mc-draw") as worker:
+        ahead = worker.submit(next, draws, None)
+        while (item := ahead.result()) is not None:
+            ahead = worker.submit(next, draws, None)
             yield item
-    finally:
-        stop.set()
-        try:
-            handoff.get_nowait()
-        except queue.Empty:
-            pass
-        helper.join()
 
 
 def _blocks(fit: GarchFit, cfg: McConfig):
@@ -176,7 +150,7 @@ def _blocks(fit: GarchFit, cfg: McConfig):
     Yields one [horizon, block] array per block of at most ``_BLOCK`` paths;
     this loop and ``_draws`` are the only places the recursion runs and
     innovations are drawn. With more than one block, the next block is
-    drawn on a helper thread while this one runs its recursion and the
+    drawn by ``_drawn_ahead`` while this one runs its recursion and the
     caller consumes it. The recursion runs in place on each innovation
     row, with the operations of ``r = sqrt(v) * z; cum = cum + r;
     v = omega + alpha * r * r + beta * v`` in that order, so the bytes do
@@ -264,32 +238,31 @@ def run_mc(fit: GarchFit, cfg: McConfig) -> TermStructure:
     """Simulate and reduce block by block.
 
     Gives the bytes of ``term_structure(simulate_cumulative(fit, cfg),
-    cfg.level)`` without the path matrix. Per horizon it keeps the values at
-    or below a bound, +inf until 2k are kept; each time 2k are kept it
-    partitions them down to the k smallest and the bound becomes their
-    largest. A value dropped for lying above the bound has k kept values
-    below it, so the k smallest of what is kept are the k smallest of all
-    paths.
+    cfg.level)`` without the path matrix. Per horizon it appends the values
+    at or below a bound, +inf until 2k are kept, to one row of a
+    [horizon, 2k + block] buffer; each time 2k are kept it partitions the
+    row in place so that its first k values are the k smallest, and the
+    bound becomes their largest. A value dropped for lying above the bound
+    has k kept values below it, so the k smallest of what is kept are the k
+    smallest of all paths.
     """
     k = tail_rank(cfg.level, cfg.n_paths)
-    kept = [[] for _ in range(cfg.horizon)]
+    kept = np.empty((cfg.horizon, min(cfg.n_paths, 2 * k + _BLOCK)))
     counts = [0] * cfg.horizon
     bounds = [math.inf] * cfg.horizon
     for block in _blocks(fit, cfg):
         for h, row in enumerate(block):
             new = row[row <= bounds[h]]
-            kept[h].append(new)
-            counts[h] += new.size
-            if counts[h] >= 2 * k:
-                # a copy of the k smallest, so the >= 2k buffer is freed
-                tail = np.concatenate(kept[h])
-                tail.partition(k - 1)
-                tail = tail[:k].copy()
-                kept[h], counts[h], bounds[h] = [tail], k, float(tail[k - 1])
+            n = counts[h] + new.size
+            kept[h, counts[h]:n] = new
+            if n >= 2 * k:
+                kept[h, :n].partition(k - 1)
+                n, bounds[h] = k, float(kept[h, k - 1])
+            counts[h] = n
     var = np.empty(cfg.horizon)
     es = np.empty(cfg.horizon)
     for h in range(cfg.horizon):
-        var[h], es[h] = _tail(np.concatenate(kept[h]), k)
+        var[h], es[h] = _tail(kept[h, :counts[h]], k)
     return TermStructure(var=var, es=es, level=cfg.level, n_paths=cfg.n_paths)
 
 

@@ -451,8 +451,8 @@ class TestInputFaults:
         assert main(["qq", str(path), "--mean-match",
                      "--out", str(tmp_path / "q.csv")]) == 2
 
-    @pytest.mark.parametrize("values", [[0.01] * 300, [0.01]],
-                             ids=["constant", "single-row"])
+    @pytest.mark.parametrize("values", [[0.01] * 300, [0.1] * 300, [0.01]],
+                             ids=["constant", "constant-0.1", "single-row"])
     def test_mean_match_without_spread_is_data_error(self, tmp_path, capsys,
                                                      values):
         path = tmp_path / "flat.csv"
@@ -464,6 +464,21 @@ class TestInputFaults:
                      "--out", str(tmp_path / "q.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("riskengine: data error: ")
+
+    @pytest.mark.parametrize("argv", [["var", "--method", "garch-n"],
+                                      ["mc", "--seed", "1"]], ids=["var", "mc"])
+    def test_constant_series_is_data_error(self, tmp_path, capsys, argv):
+        # np.var of 300 returns of 0.1 is 1.9e-34, not 0
+        path = tmp_path / "flat.csv"
+        rows = ["date,return"] + [
+            f"{date.fromordinal(735000 + i).isoformat()},0.1" for i in range(300)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main([argv[0], str(path), *argv[1:],
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("riskengine: data error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, reason", [
         (["qq", "--mean-match"], "sample standard deviation underflowed to "
@@ -713,7 +728,7 @@ def _floats(path, first_column):
 @given(params=st.sampled_from([PARAMS, GarchParams(omega=1e-4, alpha=0.0, beta=0.0)]),
        seed=st.integers(min_value=0, max_value=2**32),
        innovation=st.sampled_from(["normal", "fhs"]),
-       c=st.integers(min_value=-40, max_value=40).map(lambda k: 2.0 ** k))
+       c=st.integers(min_value=-400, max_value=400).map(lambda k: 2.0 ** k))
 def test_var_and_mc_scale_by_a_power_of_two(params, seed, innovation, c):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -348,7 +348,7 @@ class TestHelperThread:
         fit = _fit(GarchParams(omega=1e-4, alpha=0.08, beta=0.9))
         cfg = McConfig(seed=25, n_paths=n_paths, horizon=3)
         before = threading.enumerate()
-        with mock.patch.object(montecarlo.threading, "Thread",
+        with mock.patch.object(threading, "Thread",
                                wraps=threading.Thread) as spy:
             run_mc(fit, cfg)
         assert spy.call_count == started
@@ -453,11 +453,14 @@ class TestStreamedTail:
         assert peak < 8 * 10 ** 6
 
     @pytest.mark.parametrize("kind, horizon, doubles", [
-        # 10.03 and 2.84 if the last reduction partitions a copy and lists
-        # the whole tail at once; 11.07 and 4.05 if, besides, each kept
-        # tail pins its partition buffer
-        ("normal", 1, 5.5),  # 5.17
-        ("fhs", 4, 3.0),  # 2.84
+        # doubles allocated per tail cell (horizon 1, horizon 4) by run_mc:
+        # 3.36 and 2.32 with one [horizon, 2k + block] buffer compacted in
+        # place; 5.20 and 2.84 if a compaction concatenates pieces again;
+        # 5.36 and 2.82 if _tail partitions a copy of the kept row; 6.36 and
+        # 3.07 if _tail lists the whole tail at once; 5.33 and 4.29 if the
+        # buffer is as wide as all the paths
+        ("normal", 1, 3.6),  # 3.36
+        ("fhs", 4, 2.5),  # 2.32
     ])
     def test_peak_per_tail_cell(self, kind, horizon, doubles):
         # k = 262,144 at level 0.25: the tail, not the blocks, sets the peak
